@@ -1,7 +1,7 @@
 //! Microbenchmarks of the dense substrates every experiment sits on —
 //! primarily the packed register-tiled GEMM against the retained naive
-//! triple loop, plus the pre-packed-A reuse path, GEMV, and the Householder
-//! panel kernel.
+//! triple loop, plus the pre-packed-A reuse path, GEMV (square, and in
+//! GB/s at the Hessenberg panel's shapes), and the Householder panel kernel.
 //!
 //! Writes `BENCH_kernels.json` at the repo root and **enforces** two
 //! performance floors (exits non-zero on regression):
@@ -195,6 +195,44 @@ fn main() {
                 .num("seconds", t)
                 .finish(),
         );
+
+        // GEMV at the N=1536 Hessenberg panel's own shapes (rows offset by
+        // one, lda 1536): the trailing-matrix sweep `A·v` at the first and
+        // the middle panel, and the `Vᵀ·v` product of a 16-wide panel's
+        // last column. Bytes are the matrix plus both vectors. Reported
+        // without a gate: on a shared host their spread exceeds any
+        // honest floor.
+        let lda = 1536usize;
+        let a = uniform(lda, lda, 6);
+        let x = uniform(lda, 1, 7).as_slice().to_vec();
+        for (trans, m, n) in [
+            (Trans::No, 1535usize, 1535usize),
+            (Trans::No, 767, 767),
+            (Trans::Yes, 1535, 15),
+        ] {
+            let (xlen, ylen) = if trans.is_trans() { (m, n) } else { (n, m) };
+            let mut y = vec![0.0; ylen];
+            // Enough calls per sample (≥ ~4M matrix elements) to time.
+            let calls = ((1usize << 22) / (m * n)).max(1);
+            let t = best_of(r, || {
+                for _ in 0..calls {
+                    gemv(trans, m, n, 1.0, black_box(&a.as_slice()[1..]), lda, &x[..xlen], 0.0, &mut y);
+                }
+            }) / calls as f64;
+            let gbps = 8.0 * (m * n + m + n) as f64 / t / 1e9;
+            let kernel = if trans.is_trans() { "gemv_t" } else { "gemv_n" };
+            println!("{kernel:>14} {:>6} {:>12} {t:>10.6}  {gbps:.2} GB/s ({m}x{n}, lda {lda})", m, "-");
+            rows.push(
+                json::Obj::new()
+                    .str("kernel", kernel)
+                    .int("m", m as u64)
+                    .int("n", n as u64)
+                    .int("lda", lda as u64)
+                    .num("gbps", gbps)
+                    .num("seconds", t)
+                    .finish(),
+            );
+        }
 
         let (n, nb) = (512usize, 16usize);
         let a0 = uniform(n, n, 5);

@@ -19,7 +19,7 @@
 use ft_bench::json;
 use ft_dense::gen::uniform_entry;
 use ft_hess::{Redundancy, Variant};
-use ft_serve::{Client, JobSpec, SolverId};
+use ft_serve::{job_port_base_below_ephemeral, Client, JobSpec, SolverId};
 use std::io::BufRead as _;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -51,9 +51,14 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(bin: &str, pool: usize) -> Daemon {
+        // Job fabrics bind below the ephemeral range, so they never race
+        // an outgoing connection for a port.
+        let job_ports = job_port_base_below_ephemeral(0)
+            .expect("no job-port window below the ephemeral range")
+            .to_string();
         let mut child = Command::new(bin)
             .args(["serve", "--pool", &pool.to_string(), "--port", "0"])
-            .args(["--job-ports", "33000", "--tenant-quota", "32", "--queue-depth", "64"])
+            .args(["--job-ports", &job_ports, "--tenant-quota", "32", "--queue-depth", "64"])
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()

@@ -11,7 +11,8 @@ use crate::{Diag, Trans, UpLo};
 /// `y ← α·op(A)·x + β·y` where `op(A)` is `A` (`m×n`) or `Aᵀ`.
 ///
 /// `x` has length `n` for [`Trans::No`], `m` for [`Trans::Yes`]; `y` the
-/// other one.
+/// other one. Register-blocked by columns, yet bitwise equal to one AXPY
+/// (or one dot) per column on every ISA (DESIGN.md §14.2).
 pub fn gemv(trans: Trans, m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], beta: f64, y: &mut [f64]) {
     assert!(lda >= m.max(1), "gemv: lda {lda} < m {m}");
     if m > 0 && n > 0 {
@@ -40,30 +41,106 @@ pub fn gemv(trans: Trans, m: usize, n: usize, alpha: f64, a: &[f64], lda: usize,
 
     match trans {
         Trans::No => {
-            // Column sweep: y += alpha * x[j] * A(:,j)  — unit-stride reads.
-            for j in 0..n {
-                let t = alpha * x[j];
+            // Column sweep y += (alpha·x[j])·A(:,j), skipping t == 0 columns.
+            // Nonzero columns are gathered AXPY_COLS at a time and applied in
+            // one pass over y: each y[i] still takes its terms one by one in
+            // column order, only y is loaded and stored once per block.
+            let mut offs = [0; AXPY_COLS];
+            let mut ts = [0.0; AXPY_COLS];
+            let mut k = 0;
+            for (j, &xj) in x.iter().enumerate() {
+                let t = alpha * xj;
                 if t == 0.0 {
                     continue;
                 }
-                let col = &a[j * lda..j * lda + m];
-                for i in 0..m {
-                    y[i] += t * col[i];
+                offs[k] = j * lda;
+                ts[k] = t;
+                k += 1;
+                if k == AXPY_COLS {
+                    axpy_cols(y, a, &offs, &ts);
+                    k = 0;
                 }
+            }
+            // The last k < AXPY_COLS columns: four at once if there are as
+            // many, the rest one at a time.
+            let mut c = 0;
+            if k >= 4 {
+                axpy_cols::<4>(y, a, &std::array::from_fn(|c| offs[c]), &std::array::from_fn(|c| ts[c]));
+                c = 4;
+            }
+            for c in c..k {
+                axpy_cols::<1>(y, a, &[offs[c]], &[ts[c]]);
             }
         }
         Trans::Yes => {
-            // Dot per column: y[j] += alpha * A(:,j)·x — unit-stride reads.
-            for j in 0..n {
-                let col = &a[j * lda..j * lda + m];
-                let mut s = 0.0;
-                for i in 0..m {
-                    s += col[i] * x[i];
+            // Dot per column: y[j] += alpha·(A(:,j)·x), DOT_COLS columns per
+            // pass in independent accumulators. A short last block repeats
+            // its final column and drops the duplicate sums.
+            for j0 in (0..n).step_by(DOT_COLS) {
+                let w = DOT_COLS.min(n - j0);
+                let offs: [usize; DOT_COLS] = std::array::from_fn(|c| (j0 + c.min(w - 1)) * lda);
+                let s = dot_cols(a, &offs, x);
+                for c in 0..w {
+                    y[j0 + c] += alpha * s[c];
                 }
-                y[j] += alpha * s;
             }
         }
     }
+}
+
+/// Nonzero columns applied per pass over `y` in [`gemv`]'s `Trans::No` path.
+const AXPY_COLS: usize = 8;
+/// Columns whose dot products [`gemv`]'s `Trans::Yes` path runs at once.
+const DOT_COLS: usize = 4;
+/// Rows per batch of products in [`dot_cols`].
+const DOT_ROWS: usize = 8;
+
+/// `y[i] = (((y[i] + t₀·c₀[i]) + t₁·c₁[i]) + …)` where `cₖ` is the column
+/// of `a` starting at `offs[k]`: `K` AXPYs fused into one pass, each element
+/// summing in the same order as `K` separate ones.
+#[inline(always)]
+fn axpy_cols<const K: usize>(y: &mut [f64], a: &[f64], offs: &[usize; K], ts: &[f64; K]) {
+    let m = y.len();
+    let cols: [&[f64]; K] = std::array::from_fn(|c| &a[offs[c]..offs[c] + m]);
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut acc = *yi;
+        for c in 0..K {
+            acc += ts[c] * cols[c][i];
+        }
+        *yi = acc;
+    }
+}
+
+/// The dot products `cₖ·x` for the `K` columns of `a` starting at `offs`,
+/// each summed from `0.0` strictly in row order. Products are formed
+/// `DOT_ROWS` rows at a time (they are independent, so they vectorize);
+/// only the sums are sequential, and the `K` chains overlap.
+#[inline(always)]
+fn dot_cols<const K: usize>(a: &[f64], offs: &[usize; K], x: &[f64]) -> [f64; K] {
+    let m = x.len();
+    let cols: [&[f64]; K] = std::array::from_fn(|c| &a[offs[c]..offs[c] + m]);
+    let mut s = [0.0; K];
+    let mut xs = x.chunks_exact(DOT_ROWS);
+    for (r, xr) in xs.by_ref().enumerate() {
+        let i = r * DOT_ROWS;
+        let mut p = [[0.0; DOT_ROWS]; K];
+        for c in 0..K {
+            for l in 0..DOT_ROWS {
+                p[c][l] = cols[c][i + l] * xr[l];
+            }
+        }
+        for c in 0..K {
+            for pl in p[c] {
+                s[c] += pl;
+            }
+        }
+    }
+    for i in m - xs.remainder().len()..m {
+        for c in 0..K {
+            s[c] += cols[c][i] * x[i];
+        }
+    }
+    s
 }
 
 /// Rank-1 update: `A ← α·x·yᵀ + A` with `A` being `m×n`.

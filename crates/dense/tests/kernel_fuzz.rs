@@ -17,6 +17,11 @@
 //!   across thread counts;
 //! * `gemm` and `gemm_packed_a` must agree to 0 ulp in every configuration.
 //!
+//! A second battery pins the register-blocked level-2 `gemv` to **0 ulp**
+//! against the column-at-a-time loop it replaced (kept here, never in the
+//! library): blocking groups columns but must not reorder any element's
+//! mul-then-add sequence, nor apply a column whose `α·x[j]` is zero.
+//!
 //! The battery counts every (ISA × threads) configuration it actually ran;
 //! a host that silently exercised only the scalar path fails the assertion,
 //! and CI pins the expected ISA set via `FT_REQUIRE_ISAS` (comma-separated
@@ -30,6 +35,7 @@
 //! Deterministic: the seed is fixed (override with `FT_FUZZ_SEED` to
 //! explore a different corner of the space; CI pins it).
 
+use ft_dense::level2::gemv;
 use ft_dense::level3::{
     blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, set_threads_override, PackedA, MR, NR,
 };
@@ -333,4 +339,115 @@ fn prepacked_bitwise_equals_packed_any_isa() {
             }
         }
     }
+}
+
+/// The column-at-a-time `gemv` loop: one AXPY per column with a nonzero
+/// `α·x[j]` (`Trans::No`), one sequential dot per column (`Trans::Yes`).
+/// The bitwise reference for the register-blocked library kernel.
+#[allow(clippy::too_many_arguments)]
+fn gemv_column_reference(
+    trans: Trans,
+    m: usize,
+    n: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    x: &[f64],
+    beta: f64,
+    y: &mut [f64],
+) {
+    if beta == 0.0 {
+        y.fill(0.0);
+    } else if beta != 1.0 {
+        y.iter_mut().for_each(|v| *v *= beta);
+    }
+    if alpha == 0.0 || m == 0 || n == 0 {
+        return;
+    }
+    for j in 0..n {
+        let col = &a[j * lda..j * lda + m];
+        match trans {
+            Trans::No => {
+                let t = alpha * x[j];
+                if t != 0.0 {
+                    for i in 0..m {
+                        y[i] += t * col[i];
+                    }
+                }
+            }
+            Trans::Yes => {
+                let mut s = 0.0;
+                for i in 0..m {
+                    s += col[i] * x[i];
+                }
+                y[j] += alpha * s;
+            }
+        }
+    }
+}
+
+/// Seeded `gemv` battery, 0 ulp against [`gemv_column_reference`]: both
+/// transposes; extents around every block width (so `n` is often not a
+/// multiple of it); `lda > m` with NaN in the stride gaps; `x` with exact
+/// `±0.0` entries (skipped columns), `y` holding `−0.0` (a wrongly applied
+/// zero column would flip it to `+0.0`); `α = 0`; `β` of 0 over an
+/// all-NaN `y`, 1 and 0.5. Counts each case so none is skipped silently.
+#[test]
+fn gemv_blocked_bitwise_equals_column_loop() {
+    let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x6E3F);
+    let rounds: usize = std::env::var("FT_FUZZ_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(400);
+    let extents: Vec<usize> = (0..=19).chain([31, 32, 33, 63, 65, 130]).collect();
+    let pick = |rng: &mut Xoshiro256, v: &[usize]| v[rng.range_usize(0, v.len())];
+    let mut seen = [0usize; 7];
+
+    for round in 0..rounds {
+        let trans = if round % 2 == 0 { Trans::No } else { Trans::Yes };
+        let (m, n) = (pick(&mut rng, &extents), pick(&mut rng, &extents));
+        let lda = m.max(1) + (rng.next_below(2) as usize) * rng.range_usize(1, 6);
+        let alpha = [0.0, 1.0, -1.0, 0.5, rng.range_f64(-2.0, 2.0)][rng.range_usize(0, 5)];
+        let beta = [0.0, 1.0, 0.5][rng.range_usize(0, 3)];
+        let (xlen, ylen) = if trans.is_trans() { (m, n) } else { (n, m) };
+        let a = strided_with_nan_gaps(&mut rng, m, n, lda);
+        let x: Vec<f64> = (0..xlen)
+            .map(|_| match rng.next_below(8) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                _ => rng.range_f64(-1.0, 1.0),
+            })
+            .collect();
+        let y0: Vec<f64> = (0..ylen)
+            .map(|_| match (beta == 0.0, rng.next_below(4)) {
+                (true, _) => f64::NAN,
+                (false, 0) => -0.0,
+                _ => rng.range_f64(-1.0, 1.0),
+            })
+            .collect();
+
+        let mut want = y0.clone();
+        gemv_column_reference(trans, m, n, alpha, &a, lda, &x, beta, &mut want);
+        let mut got = y0.clone();
+        gemv(trans, m, n, alpha, &a, lda, &x, beta, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "round {round}: {trans:?} m={m} n={n} lda={lda} α={alpha} β={beta}: y[{i}] = {g:e}, column loop {w:e}"
+            );
+        }
+
+        let zero_col = !trans.is_trans() && x.iter().any(|v| alpha * v == 0.0);
+        let cases = [
+            !trans.is_trans() && n % 8 != 0 && n > 8,
+            trans.is_trans() && n % 4 != 0 && n > 4,
+            lda > m && n > 1,
+            zero_col && alpha != 0.0 && m > 0,
+            y0.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()),
+            alpha == 0.0,
+            beta == 0.0 && ylen > 0,
+        ];
+        for (count, hit) in seen.iter_mut().zip(cases) {
+            *count += hit as usize;
+        }
+    }
+    assert!(seen.iter().all(|&c| c > 0), "gemv battery skipped a case: {seen:?}");
 }

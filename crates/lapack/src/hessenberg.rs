@@ -255,22 +255,20 @@ pub fn gehrd(a: &mut Matrix, nb: usize, tau: &mut [f64]) {
         // (nb−1)×(nb−1) unit lower triangle of V at rows k+1..k+nb−1.
         if nb > 1 {
             let mut w = Matrix::from_fn(k + 1, nb - 1, |i, jj| y[(i, jj)]);
-            {
-                let v1p = &a.as_slice()[k * lda + (k + 1)..].to_vec();
-                trmm(
-                    Side::Right,
-                    UpLo::Lower,
-                    Trans::Yes,
-                    Diag::Unit,
-                    k + 1,
-                    nb - 1,
-                    1.0,
-                    v1p,
-                    lda,
-                    w.as_mut_slice(),
-                    k + 1,
-                );
-            }
+            let v1p = &a.as_slice()[k * lda + (k + 1)..];
+            trmm(
+                Side::Right,
+                UpLo::Lower,
+                Trans::Yes,
+                Diag::Unit,
+                k + 1,
+                nb - 1,
+                1.0,
+                v1p,
+                lda,
+                w.as_mut_slice(),
+                k + 1,
+            );
             for jj in 0..nb - 1 {
                 for i in 0..=k {
                     a[(i, k + 1 + jj)] -= w[(i, jj)];

@@ -39,7 +39,8 @@ pub struct ServeConfig {
     pub port: u16,
     /// Admission limits (queue depth, tenant quota, batch width).
     pub limits: Limits,
-    /// First port of the range job fabrics are carved from.
+    /// First port of the [`JOB_PORT_SPAN`]-port window job fabrics are
+    /// carved from.
     pub job_port_base: u16,
     /// Checkpoint/result persistence directory (None = no restart
     /// survival; jobs submitted with `ckpt` still checkpoint in memory).
@@ -134,6 +135,25 @@ struct Daemon {
     finished: VecDeque<((u32, u64, u64), u64, JobFrame)>,
     next_ports: u16,
     draining: bool,
+}
+
+/// Ports in the window a daemon rotates job fabrics through, upward from
+/// [`ServeConfig::job_port_base`].
+pub const JOB_PORT_SPAN: u16 = 2048;
+
+/// Base of the `slot`-th job-port window counted down from the host's
+/// ephemeral range: window `slot` ends `1024 + slot·JOB_PORT_SPAN` ports
+/// below the range's lower bound (`/proc/sys/net/ipv4/ip_local_port_range`,
+/// 32768 if unreadable). A job fabric there never races an outgoing
+/// connection for its port, and distinct slots never overlap. `None` if the
+/// window would reach into the privileged ports.
+pub fn job_port_base_below_ephemeral(slot: u16) -> Option<u16> {
+    let lo = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse::<u32>().ok())
+        .unwrap_or(32768);
+    let base = lo.checked_sub(1024 + (u32::from(slot) + 1) * u32::from(JOB_PORT_SPAN))?;
+    u16::try_from(base).ok().filter(|&b| b >= 1024)
 }
 
 /// Terminal-reply cache depth; old entries age out FIFO. A client replays
@@ -434,12 +454,11 @@ impl Daemon {
     }
 
     fn alloc_ports(&mut self, world: usize) -> u16 {
-        // Rotate through a 2048-port window so back-to-back jobs never
+        // Rotate through the JOB_PORT_SPAN window so back-to-back jobs never
         // collide; TcpTransport's bind loop absorbs TIME_WAIT stragglers
         // on wrap-around.
-        let span = 2048u16;
-        let off = (self.next_ports - self.cfg.job_port_base) % span;
-        let off = if off + world as u16 > span { 0 } else { off };
+        let off = (self.next_ports - self.cfg.job_port_base) % JOB_PORT_SPAN;
+        let off = if off + world as u16 > JOB_PORT_SPAN { 0 } else { off };
         let base = self.cfg.job_port_base + off;
         self.next_ports = base + world as u16;
         base

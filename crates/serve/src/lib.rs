@@ -33,7 +33,7 @@ pub mod scheduler;
 pub mod worker;
 
 pub use client::{Client, Event};
-pub use daemon::{load_result, serve_main, ServeConfig};
+pub use daemon::{job_port_base_below_ephemeral, load_result, serve_main, ServeConfig};
 pub use job::{Assignment, JobResult, JobSpec, RejectReason, SolverId};
 pub use scheduler::{Admission, Dispatch, Limits, Scheduler};
 pub use worker::worker_main;

@@ -371,8 +371,12 @@ fi
 # submit asserts every job's residual passed the paper threshold; exit 0
 # from the daemon asserts the pool drained quiescent (no leaked jobs).
 echo "== daemon soak (serve/submit verbs, both solvers, drain)"
-SERVE_PORT=34567
-./target/release/abft-hessenberg serve --pool 4 --port "$SERVE_PORT" --job-ports 34600 &
+# The job-port window (2048 ports) and the control port sit wholly below
+# the host's ephemeral range, so neither races an outgoing connection.
+eph_lo=$(cut -f1 /proc/sys/net/ipv4/ip_local_port_range 2>/dev/null || echo 32768)
+JOB_PORTS=$((eph_lo - 1024 - 2048))
+SERVE_PORT=$((JOB_PORTS - 1))
+./target/release/abft-hessenberg serve --pool 4 --port "$SERVE_PORT" --job-ports "$JOB_PORTS" &
 SERVE_PID=$!
 ready=0
 for _ in $(seq 1 100); do

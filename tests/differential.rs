@@ -264,6 +264,7 @@ fn hessenberg_bitwise_parity_per_contraction_class() {
         (8, 2, 3, 0x766585e4c73412b1),
     ];
 
+    let _isa = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let print = std::env::var("FT_GOLDEN_PRINT").is_ok_and(|v| v == "1");
     for &isa in detected_isas() {
         set_isa_override(Some(isa));
@@ -277,6 +278,52 @@ fn hessenberg_bitwise_parity_per_contraction_class() {
                 }
                 assert_eq!(h, *want, "isa={} nb={nb} {p}x{q} {variant:?}: hash 0x{h:016x} != golden 0x{want:016x}", isa.name());
             }
+        }
+    }
+    set_isa_override(None);
+}
+
+/// Serializes the tests that flip the process-global GEMM ISA override.
+static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// FNV-1a hash of the sequential blocked `gehrd` factor then `tau` on the
+/// seed-7 uniform `n×n` matrix, under the currently active GEMM ISA.
+fn gehrd_hash(n: usize, nb: usize) -> u64 {
+    let mut a = Matrix::from_fn(n, n, |i, j| uniform_entry(7, i, j));
+    let mut tau = vec![0.0; n - 1];
+    gehrd(&mut a, nb, &mut tau);
+    let mut h = 0xcbf29ce484222325u64;
+    for v in a.as_slice().iter().chain(&tau) {
+        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// Bitwise pins for the sequential blocked `gehrd`, one table per
+/// contraction class like [`hessenberg_bitwise_parity_per_contraction_class`]
+/// (its trailing updates are class-dependent GEMMs; its BLAS-2 panel is
+/// not). Captured before the level-2 kernels were register-blocked, so a
+/// pass proves the blocking changed no bit. `FT_GOLDEN_PRINT=1` prints the
+/// computed hashes instead of asserting.
+#[test]
+fn gehrd_bitwise_parity_per_contraction_class() {
+    use abft_hessenberg::dense::level3::{detected_isas, set_isa_override};
+
+    const SCALAR_GOLDEN: [(usize, usize, u64); 2] = [(301, 8, 0x7cde799d723759ee), (97, 5, 0xe20a7f46ee97def2)];
+    const FUSED_GOLDEN: [(usize, usize, u64); 2] = [(301, 8, 0x68dd6937183d3788), (97, 5, 0xd9891caf559dc954)];
+
+    let _isa = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let print = std::env::var("FT_GOLDEN_PRINT").is_ok_and(|v| v == "1");
+    for &isa in detected_isas() {
+        set_isa_override(Some(isa));
+        let golden = if isa.fused() { &FUSED_GOLDEN } else { &SCALAR_GOLDEN };
+        for &(n, nb, want) in golden {
+            let h = gehrd_hash(n, nb);
+            if print {
+                println!("isa={} gehrd n={n} nb={nb}: 0x{h:016x}", isa.name());
+                continue;
+            }
+            assert_eq!(h, want, "isa={} gehrd n={n} nb={nb}: hash 0x{h:016x} != golden 0x{want:016x}", isa.name());
         }
     }
     set_isa_override(None);

@@ -9,7 +9,7 @@
 mod serve_util;
 
 use abft_hessenberg::serve::{load_result, Client, SolverId};
-use serve_util::{field, join_within, spec, Daemon};
+use serve_util::{field, job_ports, join_within, spec, Daemon};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -19,7 +19,7 @@ fn pool_restart_resumes_bitwise_identical() {
     // same code path — only the kill differs.
     let job_spec = spec(SolverId::Hessenberg, 640, 16, 2, 77, true);
     let reference = {
-        let d = Daemon::spawn(2, &["--job-ports", "29000"]);
+        let d = Daemon::spawn(2, &["--job-ports", &job_ports(3)]);
         let port = d.port;
         let s = job_spec.clone();
         let h = std::thread::spawn(move || {
@@ -38,7 +38,7 @@ fn pool_restart_resumes_bitwise_identical() {
     // Victim run: same spec, persistent state dir. Kill the whole pool as
     // soon as the first complete checkpoint set hits disk — the job is
     // then mid-factorization with most panels still ahead of it.
-    let mut d = Daemon::spawn(2, &["--job-ports", "30000", "--state-dir", &state_str]);
+    let mut d = Daemon::spawn(2, &["--job-ports", &job_ports(4), "--state-dir", &state_str]);
     let port = d.port;
     let s = job_spec.clone();
     // This client's connection dies with the daemon; the thread just
@@ -63,7 +63,7 @@ fn pool_restart_resumes_bitwise_identical() {
     // Restart over the same state dir: the job is re-admitted under its
     // original id with no client attached, resumes from the persisted
     // panel, and the orphan result lands on disk.
-    let d2 = Daemon::spawn(2, &["--job-ports", "31000", "--state-dir", &state_str]);
+    let d2 = Daemon::spawn(2, &["--job-ports", &job_ports(5), "--state-dir", &state_str]);
     let resume = d2.wait_marker("FT_SERVE_RESUME job=1 ");
     let panel: usize = field(&resume, "panel=").parse().expect("resume panel");
     assert!(panel >= 1, "resume must start from a real checkpoint, got panel {panel}");

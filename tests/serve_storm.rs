@@ -12,7 +12,7 @@ use abft_hessenberg::hess::{ft_pdgehrd, ft_pdgeqrf, Encoded, FtSolver, Hessenber
 use abft_hessenberg::pblas::{pd_hessenberg_residual, pd_qr_residual, Desc, DistMatrix};
 use abft_hessenberg::runtime::{run_spmd, FaultScript};
 use abft_hessenberg::serve::{Client, Event, JobResult, JobSpec, RejectReason, SolverId};
-use serve_util::{field, join_within, spec, Daemon, BIN};
+use serve_util::{field, job_ports, join_within, spec, Daemon, BIN};
 use std::process::Command;
 use std::time::Duration;
 
@@ -64,7 +64,7 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// tenant's job completes matching its fault-free reference.
 #[test]
 fn four_tenants_two_solvers_survive_one_sigkill() {
-    let d = Daemon::spawn(8, &["--job-ports", "25000"]);
+    let d = Daemon::spawn(8, &["--job-ports", &job_ports(6)]);
     let port = d.port;
     // Tenant 0's job is the designated victim: big enough that a kill a
     // few hundred ms in lands mid-driver.
@@ -130,7 +130,7 @@ fn four_tenants_two_solvers_survive_one_sigkill() {
 /// finishes.
 #[test]
 fn quota_and_queue_backpressure_reject_typed() {
-    let d = Daemon::spawn(1, &["--tenant-quota", "2", "--queue-depth", "2", "--job-ports", "27100"]);
+    let d = Daemon::spawn(1, &["--tenant-quota", "2", "--queue-depth", "2", "--job-ports", &job_ports(7)]);
     let port = d.port;
     let h = std::thread::spawn(move || {
         let mut a = Client::connect(port, 7).expect("tenant A");
@@ -210,7 +210,7 @@ fn hb_env_is_resolved_per_pool_not_per_client() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let d = Daemon::spawn(1, &["--job-ports", "27200"]);
+    let d = Daemon::spawn(1, &["--job-ports", &job_ports(8)]);
     let out = Command::new(BIN)
         .args([
             "submit",

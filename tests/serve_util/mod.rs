@@ -108,6 +108,17 @@ impl Drop for Daemon {
     }
 }
 
+/// `--job-ports` value for the job-port window `slot` of this test suite:
+/// entirely below the host's ephemeral range, one slot per daemon in a test
+/// binary so the windows stay disjoint. Slot 0 is left to the CLI soak and
+/// the benches.
+pub fn job_ports(slot: u16) -> String {
+    assert!(slot > 0, "job-port slot 0 is reserved");
+    abft_hessenberg::serve::job_port_base_below_ephemeral(slot)
+        .expect("no job-port window below the ephemeral range")
+        .to_string()
+}
+
 /// Extract `key=<value>` from a marker line.
 pub fn field(line: &str, key: &str) -> String {
     line.split_whitespace()
