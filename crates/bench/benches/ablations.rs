@@ -11,7 +11,7 @@
 
 use ft_bench::*;
 use ft_dense::gen::uniform_entry;
-use ft_hess::{cr_pdgehrd, failpoint, ft_pdgehrd, Encoded, Phase, Redundancy, Variant};
+use ft_hess::{cr_pdgehrd, failpoint, ft_pdgehrd, Encoded, FtSolver, Hessenberg, Phase, Redundancy, Variant};
 use ft_pblas::{Desc, DistMatrix};
 use ft_runtime::{poisson_failures, run_spmd, FaultScript, PlannedFailure};
 use std::time::Instant;
@@ -57,7 +57,7 @@ fn main() {
 
     println!("\n# Ablation 4: recovery cost vs failure time and phase (grid 4x4)");
     let cfg = Config { p: 4, q: 4, n: 768, nb: 16 };
-    let panels = panel_count(cfg.n, cfg.nb);
+    let panels = Hessenberg.panel_count(cfg.n, cfg.nb);
     println!("{:>8} {:>18}  {:>9} {:>12}", "panel", "phase", "total s", "recovery s");
     for (label, panel) in [("early", 1), ("middle", panels / 2), ("late", panels - 2)] {
         for phase in [Phase::AfterPanel, Phase::AfterRightUpdate, Phase::AfterLeftUpdate] {
@@ -73,7 +73,7 @@ fn main() {
 /// C/R run pays full-matrix checkpoints plus lost work per rollback.
 fn abft_vs_cr() {
     let cfg = Config { p: 4, q: 4, n: 768, nb: 16 };
-    let panels = panel_count(cfg.n, cfg.nb);
+    let panels = Hessenberg.panel_count(cfg.n, cfg.nb);
     let interval = 8; // C/R checkpoint every 8 panels
     println!(
         "{:>9}  {:>9} {:>9}  {:>9} {:>9} {:>10}",
@@ -118,7 +118,7 @@ fn abft_vs_cr() {
     }
 }
 
-/// Ablation 6: fault-free cost of the redundancy levels. Dual doubles the
+/// Ablation 6: fault-free cost of the redundancy levels. Coded(2) doubles the
 /// checksum columns (4 weighted vs 2 duplicated), roughly doubling the
 /// checksum-update flops, in exchange for tolerating two failures per
 /// process row.
@@ -128,7 +128,7 @@ fn redundancy_levels() {
     let (t_plain, f_plain) = time_plain(cfg, 6);
     println!("{:>8}  {:>9} {:>11} {:>11}", "scheme", "time s", "wall pen %", "flop pen %");
     println!("{:>8}  {:>9.3} {:>11} {:>11}", "none", t_plain, "-", "-");
-    for (label, red) in [("single", Redundancy::Single), ("dual", Redundancy::Dual)] {
+    for (label, red) in [("single", Redundancy::Single), ("dual", Redundancy::Coded(2))] {
         ft_dense::counters::reset_flops();
         let t = Instant::now();
         run_spmd(p, q, FaultScript::none(), move |ctx| {

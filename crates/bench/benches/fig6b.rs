@@ -5,7 +5,7 @@
 //! decreasing with scale — 4.03 % at N = 96,000 on 96×96.
 
 use ft_bench::*;
-use ft_hess::{Phase, Variant};
+use ft_hess::{FtSolver, Hessenberg, Phase, Variant};
 
 fn main() {
     println!("# Figure 6(b): overhead of FT-Hess (Algorithm 2), one failure + recovery");
@@ -23,7 +23,7 @@ fn main() {
         });
         // Failure in the middle of the factorization, after a right update
         // (the phase with the most state in flight); victim rank 1.
-        let mid = panel_count(cfg.n, cfg.nb) / 2;
+        let mid = Hessenberg.panel_count(cfg.n, cfg.nb) / 2;
         let t_ft = best_of(r, |i| {
             let (t, f, rep) = time_ft(cfg, 200 + i as u64, Variant::NonDelayed, Some((mid, Phase::AfterRightUpdate, 1)));
             assert_eq!(rep.recoveries, 1);

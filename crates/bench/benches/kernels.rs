@@ -15,7 +15,7 @@
 //! `FT_KERNELS_SMOKE=1` trims repetitions and drops the non-GEMM extras for
 //! the CI smoke run. `FT_BENCH_REPS` controls repetitions (default 3 here).
 
-use ft_bench::json;
+use ft_bench::{best_of, json, reps_or, wall_secs};
 use ft_dense::gen::{uniform, uniform_entry};
 use ft_dense::level2::gemv;
 use ft_dense::level3::{
@@ -23,33 +23,13 @@ use ft_dense::level3::{
 };
 use ft_dense::simd::Isa;
 use ft_dense::{Matrix, Trans};
-use ft_hess::{ft_pdgehrd_scrubbed, Encoded, ScrubPolicy, Variant};
+use ft_hess::{ft_reduce, Encoded, Hessenberg, RunSpec, ScrubPolicy, Variant};
 use ft_lapack::lahr2;
 use ft_runtime::{run_spmd, FaultScript};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
-}
-
-fn reps() -> usize {
-    std::env::var("FT_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
-/// Minimum seconds over `r` runs of `f`.
-fn best_of(r: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..r {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn gflops(flops: f64, secs: f64) -> f64 {
@@ -58,7 +38,7 @@ fn gflops(flops: f64, secs: f64) -> f64 {
 
 fn main() {
     let smoke = env_flag("FT_KERNELS_SMOKE");
-    let r = if smoke { 2 } else { reps() };
+    let r = if smoke { 2 } else { reps_or(3) };
     let sizes: &[usize] = if smoke { &[256, 512] } else { &[128, 256, 512] };
     let bl = blocking();
     println!("# kernels: MR={MR} NR={NR} KC={} MC={} NC={} reps={r}", bl.kc, bl.mc, bl.nc);
@@ -75,47 +55,53 @@ fn main() {
         let fl = (2 * n * n * n) as f64;
 
         // Naive triple loop — the correctness oracle, timed for the ratio.
-        let t_naive = best_of(r, || {
-            gemm_naive(
-                Trans::No,
-                Trans::No,
-                n,
-                n,
-                n,
-                1.0,
-                black_box(a.as_slice()),
-                n,
-                black_box(b.as_slice()),
-                n,
-                0.0,
-                c.as_mut_slice(),
-                n,
-            );
+        let t_naive = best_of(r, |_| {
+            wall_secs(|| {
+                gemm_naive(
+                    Trans::No,
+                    Trans::No,
+                    n,
+                    n,
+                    n,
+                    1.0,
+                    black_box(a.as_slice()),
+                    n,
+                    black_box(b.as_slice()),
+                    n,
+                    0.0,
+                    c.as_mut_slice(),
+                    n,
+                );
+            })
         });
 
         // Packed blocked path (packs A and B internally every call).
-        let t_packed = best_of(r, || {
-            gemm(
-                Trans::No,
-                Trans::No,
-                n,
-                n,
-                n,
-                1.0,
-                black_box(a.as_slice()),
-                n,
-                black_box(b.as_slice()),
-                n,
-                0.0,
-                c.as_mut_slice(),
-                n,
-            );
+        let t_packed = best_of(r, |_| {
+            wall_secs(|| {
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    n,
+                    n,
+                    n,
+                    1.0,
+                    black_box(a.as_slice()),
+                    n,
+                    black_box(b.as_slice()),
+                    n,
+                    0.0,
+                    c.as_mut_slice(),
+                    n,
+                );
+            })
         });
 
         // Pre-packed A reused across calls — the trailing-update pattern.
         let pa = PackedA::pack(Trans::No, n, n, a.as_slice(), n);
-        let t_prepacked = best_of(r, || {
-            gemm_packed_a(&pa, Trans::No, n, 1.0, black_box(b.as_slice()), n, 0.0, c.as_mut_slice(), n);
+        let t_prepacked = best_of(r, |_| {
+            wall_secs(|| {
+                gemm_packed_a(&pa, Trans::No, n, 1.0, black_box(b.as_slice()), n, 0.0, c.as_mut_slice(), n);
+            })
         });
 
         for (kernel, secs) in [("naive", t_naive), ("packed", t_packed), ("packed_reused", t_prepacked)] {
@@ -144,22 +130,24 @@ fn main() {
             let b = uniform(n, n, 2);
             let mut c = Matrix::zeros(n, n);
             let fl = (2 * n * n * n) as f64;
-            let t = best_of(r, || {
-                gemm(
-                    Trans::No,
-                    Trans::No,
-                    n,
-                    n,
-                    n,
-                    1.0,
-                    black_box(a.as_slice()),
-                    n,
-                    black_box(b.as_slice()),
-                    n,
-                    0.0,
-                    c.as_mut_slice(),
-                    n,
-                );
+            let t = best_of(r, |_| {
+                wall_secs(|| {
+                    gemm(
+                        Trans::No,
+                        Trans::No,
+                        n,
+                        n,
+                        n,
+                        1.0,
+                        black_box(a.as_slice()),
+                        n,
+                        black_box(b.as_slice()),
+                        n,
+                        0.0,
+                        c.as_mut_slice(),
+                        n,
+                    );
+                })
             });
             let kernel = format!("packed_{}", isa.name());
             println!("{:>14} {:>6} {:>12.2} {:>10.4}", kernel, n, gflops(fl, t), t);
@@ -185,7 +173,7 @@ fn main() {
         let a = uniform(n, n, 3);
         let x = uniform(n, 1, 4).as_slice().to_vec();
         let mut y = vec![0.0; n];
-        let t = best_of(r, || gemv(Trans::No, n, n, 1.0, black_box(a.as_slice()), n, &x, 0.0, &mut y));
+        let t = best_of(r, |_| wall_secs(|| gemv(Trans::No, n, n, 1.0, black_box(a.as_slice()), n, &x, 0.0, &mut y)));
         println!("{:>14} {:>6} {:>12.2} {:>10.4}", "gemv", n, gflops((2 * n * n) as f64, t), t);
         rows.push(
             json::Obj::new()
@@ -214,10 +202,12 @@ fn main() {
             let mut y = vec![0.0; ylen];
             // Enough calls per sample (≥ ~4M matrix elements) to time.
             let calls = ((1usize << 22) / (m * n)).max(1);
-            let t = best_of(r, || {
-                for _ in 0..calls {
-                    gemv(trans, m, n, 1.0, black_box(&a.as_slice()[1..]), lda, &x[..xlen], 0.0, &mut y);
-                }
+            let t = best_of(r, |_| {
+                wall_secs(|| {
+                    for _ in 0..calls {
+                        gemv(trans, m, n, 1.0, black_box(&a.as_slice()[1..]), lda, &x[..xlen], 0.0, &mut y);
+                    }
+                })
             }) / calls as f64;
             let gbps = 8.0 * (m * n + m + n) as f64 / t / 1e9;
             let kernel = if trans.is_trans() { "gemv_t" } else { "gemv_n" };
@@ -236,13 +226,15 @@ fn main() {
 
         let (n, nb) = (512usize, 16usize);
         let a0 = uniform(n, n, 5);
-        let t = best_of(r, || {
-            let mut a = a0.clone();
-            let mut tau = vec![0.0; nb];
-            let mut tm = Matrix::zeros(nb, nb);
-            let mut ym = Matrix::zeros(n, nb);
-            lahr2(&mut a, 0, nb, &mut tau, &mut tm, &mut ym);
-            black_box(&a);
+        let t = best_of(r, |_| {
+            wall_secs(|| {
+                let mut a = a0.clone();
+                let mut tau = vec![0.0; nb];
+                let mut tm = Matrix::zeros(nb, nb);
+                let mut ym = Matrix::zeros(n, nb);
+                lahr2(&mut a, 0, nb, &mut tau, &mut tm, &mut ym);
+                black_box(&a);
+            })
         });
         println!("{:>14} {:>6} {:>12} {:>10.4}", "lahr2_nb16", n, "-", t);
         rows.push(
@@ -258,12 +250,15 @@ fn main() {
     // every panel boundary vs the engine disabled, same shape and grid.
     let (sn, snb, sp, sq) = (160usize, 8usize, 2usize, 2usize);
     let ft_secs = |policy: ScrubPolicy| {
-        best_of(r, || {
-            run_spmd(sp, sq, FaultScript::none(), move |ctx| {
-                let mut enc = Encoded::from_global_fn(&ctx, sn, snb, |i, j| uniform_entry(9, i, j));
-                let mut tau = vec![0.0; sn - 1];
-                ft_pdgehrd_scrubbed(&ctx, &mut enc, Variant::NonDelayed, &mut tau, policy).expect("fault-free");
-            });
+        best_of(r, |_| {
+            wall_secs(|| {
+                run_spmd(sp, sq, FaultScript::none(), move |ctx| {
+                    let mut enc = Encoded::from_global_fn(&ctx, sn, snb, |i, j| uniform_entry(9, i, j));
+                    let mut tau = vec![0.0; sn - 1];
+                    let spec = RunSpec { scrub: policy, ..RunSpec::new(Variant::NonDelayed) };
+                    ft_reduce(&ctx, &Hessenberg, &mut enc, &mut tau, spec).expect("fault-free");
+                });
+            })
         })
     };
     let t_plain_ft = ft_secs(ScrubPolicy::disabled());
@@ -300,22 +295,24 @@ fn main() {
         let b = uniform(n, n, 2);
         let mut c = Matrix::zeros(n, n);
         let fl = (2 * n * n * n) as f64;
-        let t = best_of(r, || {
-            gemm(
-                Trans::No,
-                Trans::No,
-                n,
-                n,
-                n,
-                1.0,
-                black_box(a.as_slice()),
-                n,
-                black_box(b.as_slice()),
-                n,
-                0.0,
-                c.as_mut_slice(),
-                n,
-            );
+        let t = best_of(r, |_| {
+            wall_secs(|| {
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    n,
+                    n,
+                    n,
+                    1.0,
+                    black_box(a.as_slice()),
+                    n,
+                    black_box(b.as_slice()),
+                    n,
+                    0.0,
+                    c.as_mut_slice(),
+                    n,
+                );
+            })
         });
         set_isa_override(None);
         gflops(fl, t)

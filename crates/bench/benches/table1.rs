@@ -6,7 +6,7 @@
 
 use ft_bench::*;
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
-use ft_hess::{failpoint, ft_pdgehrd, Encoded, Phase, Variant};
+use ft_hess::{failpoint, ft_pdgehrd, Encoded, FtSolver, Hessenberg, Phase, Variant};
 use ft_pblas::{pdgehrd, Desc, DistMatrix};
 use ft_runtime::{run_spmd, FaultScript};
 
@@ -31,7 +31,7 @@ fn residuals(cfg: Config, seed: u64) -> (f64, f64) {
     .next()
     .unwrap();
 
-    let mid = panel_count(n, nb) / 2;
+    let mid = Hessenberg.panel_count(n, nb) / 2;
     let script = FaultScript::one(1, failpoint(mid, Phase::AfterLeftUpdate));
     let a0c = a0;
     let r_ft = run_spmd(p, q, script, move |ctx| {

@@ -60,7 +60,12 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 /// Repetitions per measurement (`FT_BENCH_REPS`, default 2).
 pub fn reps() -> usize {
-    env_usize("FT_BENCH_REPS", 2).max(1)
+    reps_or(2)
+}
+
+/// Repetitions per measurement (`FT_BENCH_REPS`, default `default`).
+pub fn reps_or(default: usize) -> usize {
+    env_usize("FT_BENCH_REPS", default).max(1)
 }
 
 /// Default blocking factor (`FT_BENCH_NB`, default 16; the paper uses
@@ -131,16 +136,11 @@ pub fn best_of(runs: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
     (0..runs).map(&mut f).fold(f64::INFINITY, f64::min)
 }
 
-/// Number of panel iterations of an `n`/`nb` reduction (for placing
-/// failures mid-run).
-pub fn panel_count(n: usize, nb: usize) -> usize {
-    let mut c = 0;
-    let mut k = 0;
-    while k + 2 < n {
-        k += nb.min(n - 2 - k);
-        c += 1;
-    }
-    c
+/// Wall-clock seconds of one call of `f`.
+pub fn wall_secs(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
 }
 
 /// Print one Figure 6/7-style row: effective GFLOP/s on both sides, the
@@ -304,10 +304,13 @@ mod tests {
         }
     }
 
+    /// The benches place mid-run failures with the framework's panel
+    /// counter.
     #[test]
     fn panel_count_matches_loop() {
-        assert_eq!(panel_count(12, 2), 5);
-        assert_eq!(panel_count(16, 4), 4); // panels at 0, 4, 8 and ragged 12
+        use ft_hess::{FtSolver, Hessenberg};
+        assert_eq!(Hessenberg.panel_count(12, 2), 5);
+        assert_eq!(Hessenberg.panel_count(16, 4), 4); // panels at 0, 4, 8 and ragged 12
     }
 
     #[test]

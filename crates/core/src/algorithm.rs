@@ -1,7 +1,8 @@
 //! The solver-agnostic ABFT driver — Algorithm 2 (non-delayed) and
 //! Algorithm 3 (delayed) of the paper, written once against the
-//! [`FtSolver`] contract and instantiated for the Hessenberg reduction
-//! ([`ft_pdgehrd`]) and Householder QR ([`ft_pdgeqrf`]).
+//! [`FtSolver`] contract as the single entry point [`ft_reduce`], with the
+//! shorthands [`ft_pdgehrd`] (Hessenberg reduction) and [`ft_pdgeqrf`]
+//! (Householder QR).
 //!
 //! Per panel iteration:
 //!
@@ -122,7 +123,7 @@ pub enum FtError {
     /// per (row × group) than the surviving checksum copies can determine
     /// (see [`crate::recovery::check_tolerance`]). Raised at the
     /// deterministic tolerance gate, before any recovery work, for every
-    /// redundancy level (`Single`, `Dual`, `Coded(f)`).
+    /// redundancy level (`Single`, `Coded(f)`).
     ExceededCodeDistance {
         /// The agreed victim set (sorted for chaos failures, announcement
         /// order for scripted ones).
@@ -233,7 +234,7 @@ pub fn ve_row_index(enc: &Encoded, g: usize, copy: usize, off: usize) -> usize {
 /// `(g, copy, off)` (see [`ve_row_index`]), holding
 /// `Σ_q w(copy, q)·V((gQ+q)·nb + off, :)` — the "V row" of that checksum
 /// column in the extended right update. With [`crate::encode::Redundancy::Single`]
-/// the weights are 1 and the two copies' rows are identical; with `Dual`
+/// the weights are 1 and the two copies' rows are identical; with `Coded(f)`
 /// they carry the Vandermonde weights. Deterministic and identical on every
 /// process (computed from the replicated `V`).
 pub fn ve_rows(enc: &Encoded, f: &PanelFactors) -> Matrix {
@@ -693,18 +694,97 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
     imgs.prev = None;
 }
 
-/// The fault-tolerant distributed Hessenberg reduction (SPMD).
+/// How one driver run is configured: the ABFT variant plus the optional
+/// controls — the online scrub policy, an observation hook, a checkpoint
+/// resume point, the replacement-process role and a scope-close sink.
+/// [`RunSpec::new`] leaves every control off, which is exactly the paper's
+/// routine ([`ft_pdgehrd`]).
 ///
-/// Reduces the logical `N×N` part of `enc` in place; on exit the Hessenberg
-/// entries and reflectors are stored exactly like [`ft_pblas::pdgehrd`]'s
-/// output and `tau` is replicated. Failures scripted through the runtime's
-/// [`ft_runtime::FaultScript`] at [`failpoint`] ids are detected at phase
-/// boundaries and repaired transparently; chaos kills injected through
-/// [`ft_runtime::ChaosScript`] at arbitrary message-op boundaries are
-/// detected by the runtime's agreement layer and rolled back to the last
-/// committed boundary. The returned [`FtReport`] counts both. A victim set
-/// beyond the redundancy level's tolerance yields
-/// [`FtError::ExceededCodeDistance`] — identically on every rank.
+/// ## Resume contract
+///
+/// `start_panel` must be a *scope entry* — a panel index whose block column
+/// is a multiple of Q (the state [`crate::FtCheckpoint`] captures, because
+/// the scope sink only fires at scope closes). Before calling the driver
+/// with `start_panel > 0`, the caller must have restored the encoded matrix
+/// and the tau prefix from such a checkpoint on **every** rank
+/// ([`crate::FtCheckpoint::restore`]); the driver then skips the initial
+/// encoding (the restored matrix already carries live checksums — at a
+/// scope close the Theorem 1 invariant holds under both variants, the
+/// delayed catch-up included) and re-enters the loop at the recorded panel.
+/// Re-execution from a restored scope boundary is deterministic (DESIGN.md
+/// §14), so a resumed run's result is bitwise identical to an uninterrupted
+/// one.
+pub struct RunSpec<'a> {
+    /// Algorithm 2 or Algorithm 3.
+    pub variant: Variant,
+    /// The online SDC scrub engine: at the boundaries the policy schedules,
+    /// the engine verifies every live checksum copy, separates data from
+    /// checksum corruption, localizes and corrects single-block damage in
+    /// place, and escalates the rest to a verified-boundary rollback (or
+    /// [`FtError::ScrubUnrecoverable`]). The report carries the per-rank
+    /// [`FtReport::scrub`] statistics.
+    pub scrub: ScrubPolicy,
+    /// Called (collectively, on every process) after each phase boundary —
+    /// the test suites use it to check the Theorem 1 checksum invariant at
+    /// every step and to inject silent corruption into the encoded matrix.
+    /// The hook may run collectives and corrupt matrix *data*, but must not
+    /// mutate driver bookkeeping. Chaos-mode rollbacks resume *after* a
+    /// boundary, so under chaos injection a boundary's hook invocation can
+    /// be skipped on re-execution — invariant-checking hooks belong to
+    /// scripted runs.
+    pub hook: Option<&'a mut PhaseHook<'a>>,
+    /// First panel iteration to execute; 0 runs from the start. Must be a
+    /// scope entry (see the resume contract above).
+    pub start_panel: usize,
+    /// This process is a **respawned replacement** in a distributed run: a
+    /// rank that was SIGKILLed, re-spawned by the launcher and re-admitted
+    /// by the transport's epoch-fenced handshake. It holds a freshly
+    /// allocated (garbage) encoded matrix; it skips the initial encoding
+    /// and the pre-loop boundary and goes straight into the recovery
+    /// protocol, where the survivors' agreement names it a victim, a
+    /// survivor ships it the control image of the rollback boundary, and
+    /// §5.3 recovery rebuilds its matrix data. From then on it runs the
+    /// driver loop like everybody else and returns the same result. Only
+    /// valid on a real transport, and mutually exclusive with a nonzero
+    /// `start_panel`: a replacement's state comes from its peers, not from
+    /// a checkpoint.
+    pub replacement: bool,
+    /// Called (collectively, on every rank) after each scope close except
+    /// the final one, with the just-finished panel index — the exact
+    /// boundary [`crate::FtCheckpoint::capture`] serializes and the resume
+    /// contract re-enters at (`start_panel` = panel + 1). Under chaos a
+    /// rolled-back scope can fire the sink again; re-execution is
+    /// deterministic, so the re-captured image is bitwise identical.
+    pub scope_sink: Option<&'a mut ScopeSink<'a>>,
+}
+
+impl RunSpec<'_> {
+    /// `variant` with every control off: no scrub, no hook, a fresh start.
+    pub fn new(variant: Variant) -> Self {
+        Self {
+            variant,
+            scrub: ScrubPolicy::disabled(),
+            hook: None,
+            start_panel: 0,
+            replacement: false,
+            scope_sink: None,
+        }
+    }
+}
+
+/// Observation hook fired after every phase boundary with
+/// `(ctx, enc, panel, phase)` (see [`RunSpec::hook`]).
+pub type PhaseHook<'a> = dyn FnMut(&Ctx, &mut Encoded, usize, Phase) + 'a;
+
+/// Callback fired at every scope close with `(ctx, enc, tau, panel)` — the
+/// checkpointable boundary state (see [`RunSpec::scope_sink`]).
+pub type ScopeSink<'a> = dyn FnMut(&Ctx, &Encoded, &[f64], usize) + 'a;
+
+/// The fault-tolerant distributed Hessenberg reduction (SPMD) — the paper's
+/// routine: [`ft_reduce`] over [`Hessenberg`] with every control off.
+///
+/// On exit the Hessenberg entries and reflectors are stored exactly like
+/// [`ft_pblas::pdgehrd`]'s output and `tau` is replicated.
 ///
 /// ```
 /// use ft_hess::{failpoint, ft_pdgehrd, Encoded, Phase, Variant};
@@ -725,13 +805,13 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
 /// assert_eq!(recoveries, vec![1, 1, 1, 1]);
 /// ```
 pub fn ft_pdgehrd(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64]) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), &mut |_, _, _, _| {})
+    ft_reduce(ctx, &Hessenberg, enc, tau, RunSpec::new(variant))
 }
 
 /// The fault-tolerant distributed Householder QR (SPMD) — the second solver
-/// of the ABFT framework, running on the **identical** shared driver,
-/// recovery, scrub and chaos machinery as [`ft_pdgehrd`] via the
-/// [`FtSolver`] contract.
+/// of the ABFT framework: [`ft_reduce`] over [`HouseholderQr`] with every
+/// control off, on the **identical** driver, recovery, scrub and chaos
+/// machinery as [`ft_pdgehrd`].
 ///
 /// Factors the logical `N×N` part of `enc` in place: `R` in the upper
 /// triangle, reflectors below the diagonal, `tau` (length ≥ N) replicated
@@ -759,227 +839,43 @@ pub fn ft_pdgehrd(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64
 /// assert_eq!(recoveries, vec![1, 1, 1, 1]);
 /// ```
 pub fn ft_pdgeqrf(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64]) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), &mut |_, _, _, _| {})
+    ft_reduce(ctx, &HouseholderQr, enc, tau, RunSpec::new(variant))
 }
 
-/// [`ft_pdgeqrf`] with the online SDC scrub engine enabled — the QR
-/// counterpart of [`ft_pdgehrd_scrubbed`].
-pub fn ft_pdgeqrf_scrubbed(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, policy, &mut |_, _, _, _| {})
-}
-
-/// [`ft_pdgeqrf`] with an observation hook — the QR counterpart of
-/// [`ft_pdgehrd_hooked`] (same hook contract and caveats).
-pub fn ft_pdgeqrf_hooked(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), hook)
-}
-
-/// The full-surface QR driver: scrub policy + observation hook. All other
-/// `ft_pdgeqrf*` entry points delegate here.
-pub fn ft_pdgeqrf_full(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &HouseholderQr, enc, variant, tau, policy, hook, DriverControl::default())
-}
-
-/// Replacement-process entry point for a distributed QR run — the QR
-/// counterpart of [`ft_pdgehrd_replacement`].
-pub fn ft_pdgeqrf_replacement(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    assert!(ctx.distributed(), "ft_pdgeqrf_replacement only makes sense on a real transport");
-    ft_solver_driver(
-        ctx,
-        &HouseholderQr,
-        enc,
-        variant,
-        tau,
-        policy,
-        &mut |_, _, _, _| {},
-        DriverControl { replacement: true, ..DriverControl::default() },
-    )
-}
-
-/// [`ft_pdgehrd`] with the online SDC scrub engine enabled: at the
-/// boundaries `policy` schedules, the engine verifies every live checksum
-/// copy, separates data from checksum corruption, localizes and corrects
-/// single-block damage in place, and escalates the rest to a
-/// verified-boundary rollback (or [`FtError::ScrubUnrecoverable`]). The
-/// returned report carries the per-rank [`FtReport::scrub`] statistics.
-pub fn ft_pdgehrd_scrubbed(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, policy, &mut |_, _, _, _| {})
-}
-
-/// [`ft_pdgehrd`] with an observation hook called (collectively, on every
-/// process) after each phase boundary — used by the test suites to check
-/// the Theorem 1 checksum invariant at every step and to inject silent
-/// corruption into the encoded matrix. The hook may run collectives and
-/// corrupt matrix *data*, but must not mutate driver bookkeeping.
-/// Chaos-mode rollbacks resume *after* a boundary, so under chaos injection
-/// a boundary's hook invocation can be skipped on re-execution —
-/// invariant-checking hooks belong to scripted runs.
-pub fn ft_pdgehrd_hooked(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), hook)
-}
-
-/// The full-surface driver: scrub policy + observation hook. All other
-/// `ft_pdgehrd*` entry points delegate here.
-pub fn ft_pdgehrd_full(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &Hessenberg, enc, variant, tau, policy, hook, DriverControl::default())
-}
-
-/// Entry point for a **respawned replacement process** in a distributed run:
-/// a rank that was SIGKILLed, re-spawned by the launcher and re-admitted by
-/// the transport's epoch-fenced handshake. The replacement holds a freshly
-/// allocated (garbage) encoded matrix; it skips the initial encoding and the
-/// pre-loop boundary and goes straight into the recovery protocol, where the
-/// survivors' agreement names it a victim, a survivor ships it the control
-/// image of the rollback boundary, and §5.3 recovery rebuilds its matrix
-/// data. From then on it runs the driver loop like everybody else and
-/// returns the same result.
-pub fn ft_pdgehrd_replacement(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    assert!(ctx.distributed(), "ft_pdgehrd_replacement only makes sense on a real transport");
-    ft_solver_driver(
-        ctx,
-        &Hessenberg,
-        enc,
-        variant,
-        tau,
-        policy,
-        &mut |_, _, _, _| {},
-        DriverControl { replacement: true, ..DriverControl::default() },
-    )
-}
-
-/// Serving-layer controls for a driver run: resume a factorization from a
-/// checkpointed scope boundary, join as a replacement, and/or observe scope
-/// closes for checkpoint capture. The plain entry points are all shorthands
-/// for specific settings of this struct.
+/// The fault-tolerant distributed reduction (SPMD) of any [`FtSolver`] —
+/// the framework's single entry point.
 ///
-/// ## Resume contract
-///
-/// `start_panel` must be a *scope entry* — a panel index whose block column
-/// is a multiple of Q (the state [`crate::FtCheckpoint`] captures, because
-/// the scope sink only fires at scope closes). Before calling the driver
-/// with `start_panel > 0`, the caller must have restored the encoded matrix
-/// and the tau prefix from such a checkpoint on **every** rank
-/// ([`crate::FtCheckpoint::restore`]); the driver then skips the initial
-/// encoding (the restored matrix already carries live checksums — at a
-/// scope close the Theorem 1 invariant holds under both variants, the
-/// delayed catch-up included) and re-enters the loop at the recorded panel.
-/// Re-execution from a restored scope boundary is deterministic (DESIGN.md
-/// §14), so a resumed run's result is bitwise identical to an uninterrupted
-/// one.
-#[derive(Default)]
-pub struct DriverControl<'a> {
-    /// First panel iteration to execute; 0 runs from the start. Must be a
-    /// scope entry (see the resume contract above).
-    pub start_panel: usize,
-    /// This process is a respawned replacement joining an in-flight run
-    /// (see [`ft_pdgehrd_replacement`]). Mutually exclusive with a nonzero
-    /// `start_panel`: a replacement's state comes from its peers, not from
-    /// a checkpoint.
-    pub replacement: bool,
-    /// Called (collectively, on every rank) after each scope close except
-    /// the final one, with the just-finished panel index — the exact
-    /// boundary [`crate::FtCheckpoint::capture`] serializes and the resume
-    /// contract re-enters at (`start_panel` = panel + 1). Under chaos a
-    /// rolled-back scope can fire the sink again; re-execution is
-    /// deterministic, so the re-captured image is bitwise identical.
-    pub scope_sink: Option<&'a mut ScopeSink<'a>>,
-}
-
-/// Callback fired at every scope close with `(ctx, enc, tau, panel)` — the
-/// checkpointable boundary state (see [`DriverControl::scope_sink`]).
-pub type ScopeSink<'a> = dyn FnMut(&Ctx, &Encoded, &[f64], usize) + 'a;
-
-/// [`ft_pdgehrd`] under explicit [`DriverControl`] — the serving layer's
-/// entry point (checkpoint capture and restart-resume).
-pub fn ft_pdgehrd_ctl(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    ctl: DriverControl,
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &Hessenberg, enc, variant, tau, policy, &mut |_, _, _, _| {}, ctl)
-}
-
-/// [`ft_pdgeqrf`] under explicit [`DriverControl`] — the QR counterpart of
-/// [`ft_pdgehrd_ctl`].
-pub fn ft_pdgeqrf_ctl(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    ctl: DriverControl,
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &HouseholderQr, enc, variant, tau, policy, &mut |_, _, _, _| {}, ctl)
-}
-
-/// The generic driver every `ft_pdgehrd*` / `ft_pdgeqrf*` entry point
-/// delegates to: the whole ABFT state machine, written once over the
-/// [`FtSolver`] contract.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn ft_solver_driver(
+/// Factors the logical `N×N` part of `enc` in place, exactly like the
+/// solver's plain distributed routine, with `tau` (length ≥
+/// [`FtSolver::tau_len`]) replicated on exit. Failures scripted through
+/// the runtime's [`ft_runtime::FaultScript`] at [`failpoint`] ids are
+/// detected at phase boundaries and repaired transparently; chaos kills
+/// injected through [`ft_runtime::ChaosScript`] at arbitrary message-op
+/// boundaries are detected by the runtime's agreement layer and rolled back
+/// to the last committed boundary. The returned [`FtReport`] counts both. A
+/// victim set beyond the redundancy level's tolerance yields
+/// [`FtError::ExceededCodeDistance`] — identically on every rank.
+pub fn ft_reduce(
     ctx: &Ctx,
     solver: &dyn FtSolver,
     enc: &mut Encoded,
-    variant: Variant,
     tau: &mut [f64],
-    policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-    ctl: DriverControl,
+    spec: RunSpec,
 ) -> Result<FtReport, FtError> {
-    let DriverControl { start_panel, replacement, mut scope_sink } = ctl;
+    let RunSpec {
+        variant,
+        scrub: policy,
+        hook,
+        start_panel,
+        replacement,
+        mut scope_sink,
+    } = spec;
+    assert!(!replacement || ctx.distributed(), "a replacement run only makes sense on a real transport");
+    let mut no_hook = |_: &Ctx, _: &mut Encoded, _: usize, _: Phase| {};
+    let hook: &mut PhaseHook = match hook {
+        Some(h) => h,
+        None => &mut no_hook,
+    };
     let n = enc.n();
     let nb = enc.nb();
     let q = ctx.npcol();
@@ -1338,7 +1234,7 @@ fn run_loop(
             report.scope_end_secs += t.elapsed().as_secs_f64();
             // The scope is closed and every live checksum copy satisfies
             // Theorem 1 (catch-up included): the exact boundary the resume
-            // contract of [`DriverControl`] re-enters at. Hand it to the
+            // contract of [`RunSpec`] re-enters at. Hand it to the
             // checkpoint sink — except after the final panel, where there
             // is nothing left to resume.
             if !last_panel_overall {

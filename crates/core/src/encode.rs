@@ -32,37 +32,25 @@ const TAG_ENCODE: Tag = Tag::Checksum(0);
 ///
 /// [`Redundancy::Single`] is the paper's scheme: two *identical* checksum
 /// copies per group on distinct process columns, tolerating one failure per
-/// process row. [`Redundancy::Dual`] implements the paper's stated future
-/// work ("exploring methods to tolerate multiple simultaneous failures",
-/// §8): four *Vandermonde-weighted* checksums per group — checksum `c` of
-/// group `g` stores `Σ_q node(q)^c·A(:, member_q)` with the nodes
-/// `node(q) = 1 + q/Q` (see [`Redundancy::node`] for why the nodes live in
-/// `[1, 2)`). Any two of the four weight rows are linearly independent, so
-/// any two lost blocks per
-/// (process row × group) — data or checksum — are recoverable: two
-/// surviving checksums give a 2×2 Vandermonde system for the two lost
-/// member blocks, and lost checksum blocks are recomputed afterwards.
-/// Requires `Q ≥ 4` so the four checksum block columns land on distinct
-/// process columns.
-///
-/// [`Redundancy::Coded`]`(f)` generalizes Dual to an arbitrary distance:
-/// `2f` Vandermonde-weighted checksum copies per group (checksum `c`
-/// stores `Σ_q node(q)^c·A(:, member_q)`), tolerating up to `f` simultaneous
-/// failures per (process row × group). The count is `2f`, not `f+1`: a
-/// worst-case failure of `f` ranks in one process row erases up to `f`
+/// process row. [`Redundancy::Coded`]`(f)` implements the paper's stated
+/// future work ("exploring methods to tolerate multiple simultaneous
+/// failures", §8): `2f` *Vandermonde-weighted* checksum copies per group —
+/// checksum `c` of group `g` stores `Σ_q node(q)^c·A(:, member_q)` with the
+/// nodes `node(q) = 1 + q/Q` (see [`Redundancy::node`] for why the nodes
+/// live in `[1, 2)`) — tolerating up to `f` simultaneous failures per
+/// (process row × group), data or checksum. The count is `2f`, not `f+1`:
+/// a worst-case failure of `f` ranks in one process row erases up to `f`
 /// member blocks *and* up to `f` checksum copies of the same group, and
 /// the `f` surviving copies (any `f` rows of a Vandermonde matrix with
-/// distinct nodes are independent) still determine the `f` lost members.
-/// `Dual` is exactly `Coded(2)` — same geometry, same weights — and is
-/// kept as a named level for the CLI and the existing test batteries.
-/// Requires `Q ≥ 2f` distinct process columns.
+/// distinct nodes are independent) give an `f×f` system for the lost
+/// member blocks; lost checksum blocks are recomputed afterwards. The CLI
+/// spells `Coded(2)` as `dual`. Requires `Q ≥ 2f` distinct process
+/// columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Redundancy {
     /// Paper §5.2: duplicated checksums; ≤ 1 failure per process row.
     #[default]
     Single,
-    /// Weighted checksums; ≤ 2 simultaneous failures per process row.
-    Dual,
     /// Reed–Solomon/Vandermonde checksums with `2f` copies per group;
     /// ≤ `f` simultaneous failures per process row.
     Coded(usize),
@@ -73,7 +61,6 @@ impl Redundancy {
     pub fn ncopies(self) -> usize {
         match self {
             Redundancy::Single => 2,
-            Redundancy::Dual => 4,
             Redundancy::Coded(f) => 2 * f,
         }
     }
@@ -82,7 +69,6 @@ impl Redundancy {
     pub fn max_failures_per_row(self) -> usize {
         match self {
             Redundancy::Single => 1,
-            Redundancy::Dual => 2,
             Redundancy::Coded(f) => f,
         }
     }
@@ -103,7 +89,7 @@ impl Redundancy {
     pub fn node(self, idx: usize, members: usize) -> f64 {
         match self {
             Redundancy::Single => 1.0, // flat duplicates carry no position
-            Redundancy::Dual | Redundancy::Coded(_) => 1.0 + idx as f64 / members as f64,
+            Redundancy::Coded(_) => 1.0 + idx as f64 / members as f64,
         }
     }
 
@@ -113,7 +99,7 @@ impl Redundancy {
     pub fn weight(self, copy: usize, idx: usize, members: usize) -> f64 {
         match self {
             Redundancy::Single => 1.0, // both copies are plain duplicates
-            Redundancy::Dual | Redundancy::Coded(_) => self.node(idx, members).powi(copy as i32),
+            Redundancy::Coded(_) => self.node(idx, members).powi(copy as i32),
         }
     }
 
@@ -131,7 +117,7 @@ impl Redundancy {
     pub fn min_q(self) -> usize {
         match self {
             Redundancy::Single => 2,
-            Redundancy::Dual | Redundancy::Coded(_) => self.ncopies(),
+            Redundancy::Coded(_) => self.ncopies(),
         }
     }
 }
@@ -173,9 +159,6 @@ impl Encoded {
         let q = ctx.npcol();
         match redundancy {
             Redundancy::Single => {}
-            Redundancy::Dual => {
-                assert!(q >= 4, "Dual redundancy needs Q >= 4 distinct process columns for its checksums");
-            }
             Redundancy::Coded(f) => {
                 assert!(f >= 1, "Coded redundancy needs f >= 1");
                 assert!(

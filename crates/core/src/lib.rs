@@ -5,9 +5,11 @@
 //! hybrid ABFT + diskless-checkpointing scheme that makes the distributed
 //! blocked Hessenberg reduction resilient to fail-stop process failures.
 //! The machinery is written once against the [`FtSolver`] contract
-//! (DESIGN.md §12) and instantiated twice: [`ft_pdgehrd`] (the paper's
-//! solver) and [`ft_pdgeqrf`] (right-looking Householder QR, a left-only
-//! solver that needs none of the pseudo-checksum `Ve` machinery).
+//! (DESIGN.md §12) behind one entry point, [`ft_reduce`], configured by a
+//! [`RunSpec`], and instantiated twice: [`Hessenberg`] (the paper's solver,
+//! shorthand [`ft_pdgehrd`]) and [`HouseholderQr`] (right-looking
+//! Householder QR, a left-only solver that needs none of the
+//! pseudo-checksum `Ve` machinery, shorthand [`ft_pdgeqrf`]).
 //!
 //! * [`solver`] — the [`FtSolver`] trait: panel geometry, reflector offset,
 //!   and whether a trailing right update exists.
@@ -17,9 +19,9 @@
 //! * `areas` (crate-internal) — the shared checksum-group address
 //!   arithmetic and the one copy of the weighted partial-sum loop that
 //!   encoding, recovery and scrub correction all use.
-//! * [`algorithm`] — [`ft_pdgehrd`] / [`ft_pdgeqrf`], Algorithm 2
-//!   (non-delayed) and Algorithm 3 (delayed checksum updates), with
-//!   scripted fail points between the phases of every iteration.
+//! * [`algorithm`] — [`ft_reduce`], Algorithm 2 (non-delayed) and
+//!   Algorithm 3 (delayed checksum updates), with scripted fail points
+//!   between the phases of every iteration.
 //! * [`scope`] — the panel-scope diskless checkpoints: snapshots and the
 //!   per-panel `(panel, Y, T)` bookkeeping on the next process column.
 //! * [`recovery`] — the §5.3 recovery procedure over the four areas of
@@ -48,11 +50,7 @@ pub mod scope;
 pub mod scrub;
 pub mod solver;
 
-pub use algorithm::{
-    failpoint, ft_pdgehrd, ft_pdgehrd_ctl, ft_pdgehrd_full, ft_pdgehrd_hooked, ft_pdgehrd_replacement, ft_pdgehrd_scrubbed,
-    ft_pdgeqrf, ft_pdgeqrf_ctl, ft_pdgeqrf_full, ft_pdgeqrf_hooked, ft_pdgeqrf_replacement, ft_pdgeqrf_scrubbed, ve_rows,
-    DriverControl, FtError, FtReport, Phase, Variant,
-};
+pub use algorithm::{failpoint, ft_pdgehrd, ft_pdgeqrf, ft_reduce, ve_rows, FtError, FtReport, Phase, RunSpec, Variant};
 pub use checkpoint_restart::{cr_failpoint, cr_pdgehrd, CrReport, FtCheckpoint};
 pub use encode::{Encoded, Redundancy};
 pub use model::{asymptotic_overhead, flop_model, storage_overhead_elements, FlopModel};

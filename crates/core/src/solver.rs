@@ -15,8 +15,8 @@
 //! engine in [`crate::scrub`] are written once against `&dyn FtSolver`;
 //! [`Hessenberg`] and [`HouseholderQr`] are the two instantiations. A third
 //! solver (say FT-LU with partial pivoting disabled, or two-sided
-//! tridiagonalization) slots in by implementing the seven methods — see
-//! DESIGN.md §12 for the slot-in walkthrough.
+//! tridiagonalization) slots in by implementing the seven required
+//! methods — see DESIGN.md §12 for the slot-in walkthrough.
 
 use ft_pblas::{pdlahrd, pdlaqrf, DistMatrix, PanelFactors};
 use ft_runtime::Ctx;
@@ -51,6 +51,18 @@ pub trait FtSolver: Sync {
     /// Width of the panel at column `k` (the ragged last panel is narrower
     /// than `nb`).
     fn panel_width(&self, k: usize, n: usize, nb: usize) -> usize;
+
+    /// Number of panel iterations on an `n×n` matrix with blocking factor
+    /// `nb` — the panel schedule of [`FtSolver::panel_exists`] and
+    /// [`FtSolver::panel_width`], walked once.
+    fn panel_count(&self, n: usize, nb: usize) -> usize {
+        let (mut count, mut k) = (0, 0);
+        while self.panel_exists(k, n) {
+            k += self.panel_width(k, n, nb);
+            count += 1;
+        }
+        count
+    }
 
     /// Required length of the `tau` output for an `n×n` matrix
     /// (`n−1` reflectors for Hessenberg, `n` for QR).
@@ -163,20 +175,23 @@ mod tests {
     }
 
     /// The two solvers' panel schedules tile the matrix exactly: widths sum
-    /// to the factored range and every panel starts on the previous end.
+    /// to the factored range, every panel starts on the previous end, and
+    /// [`FtSolver::panel_count`] counts exactly those panels.
     #[test]
     fn panel_schedules_tile() {
         for solver in [&Hessenberg as &dyn FtSolver, &HouseholderQr] {
             for n in [1usize, 2, 3, 13, 16] {
                 for nb in [1usize, 2, 4, 8] {
-                    let mut k = 0;
+                    let (mut k, mut panels) = (0, 0);
                     while solver.panel_exists(k, n) {
                         let w = solver.panel_width(k, n, nb);
                         assert!(w >= 1 && w <= nb, "{} n={n} nb={nb} k={k}: w={w}", solver.name());
                         k += w;
+                        panels += 1;
                     }
                     let expect = if solver.has_right_update() { n.saturating_sub(2) } else { n };
                     assert_eq!(k, expect, "{} n={n} nb={nb}", solver.name());
+                    assert_eq!(solver.panel_count(n, nb), panels, "{} n={n} nb={nb}", solver.name());
                 }
             }
         }

@@ -6,13 +6,15 @@
 //! schedules are fixed so every run reproduces exactly.
 
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
-use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_hooked, Encoded, FtError, FtReport, Phase, Variant};
+use ft_hess::{
+    assert_theorem1, failpoint, ft_pdgehrd, ft_reduce, Encoded, FtError, FtReport, Hessenberg, Phase, RunSpec, Variant,
+};
 use ft_lapack::{extract_h, hessenberg_residual, orghr};
-use ft_runtime::{run_spmd, run_spmd_chaos, ChaosKill, ChaosPoint, ChaosScript, FaultScript, PlannedFailure};
+use ft_runtime::{run_spmd, ChaosKill, ChaosPoint, ChaosScript, FaultPlan, FaultScript, PlannedFailure};
 
 /// Run the FT reduction under `script` + `chaos` and return
 /// `(rank-0 gathered matrix, tau, report)`; the residual is checked by the
-/// caller. Panics in any rank propagate out of `run_spmd_chaos`, so a
+/// caller. Panics in any rank propagate out of `run_spmd`, so a
 /// passing test doubles as a zero-panic assertion over every survivor.
 #[allow(clippy::too_many_arguments)]
 fn storm_run(
@@ -25,7 +27,7 @@ fn storm_run(
     script: FaultScript,
     chaos: ChaosScript,
 ) -> (ft_dense::Matrix, Vec<f64>, FtReport) {
-    let results = run_spmd_chaos(p, q, script, chaos, move |ctx| {
+    let results = run_spmd(p, q, FaultPlan { script, chaos, ..FaultPlan::default() }, move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n - 1];
         let report = ft_pdgehrd(&ctx, &mut enc, variant, &mut tau).expect("within the fault model");
@@ -150,14 +152,23 @@ fn delayed_recovery_preserves_future_checksums() {
     run_spmd(p, q, FaultScript::one(1, failpoint(1, Phase::BeforePanel)), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(2013, i, j));
         let mut tau = vec![0.0; n - 1];
-        ft_pdgehrd_hooked(&ctx, &mut enc, Variant::Delayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            // Delayed defers checksum updates mid-scope, so the invariant
-            // is only owed at scope-opening boundaries.
-            if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
-                let s = panel / ctx.npcol();
-                assert_theorem1(ctx, enc, s, 1e-9, "hessenberg", &format!("scope {s} open (post-recovery)"));
-            }
-        })
+        ft_reduce(
+            &ctx,
+            &Hessenberg,
+            &mut enc,
+            &mut tau,
+            RunSpec {
+                hook: Some(&mut |ctx, enc, panel, phase| {
+                    // Delayed defers checksum updates mid-scope, so the invariant
+                    // is only owed at scope-opening boundaries.
+                    if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
+                        let s = panel / ctx.npcol();
+                        assert_theorem1(ctx, enc, s, 1e-9, "hessenberg", &format!("scope {s} open (post-recovery)"));
+                    }
+                }),
+                ..RunSpec::new(Variant::Delayed)
+            },
+        )
         .expect("within the fault model");
     });
 }
@@ -215,7 +226,7 @@ fn chaos_beyond_tolerance_identical_typed_error() {
         ChaosKill { victim: 1, at: ChaosPoint::Op(250) },
         ChaosKill { victim: 0, at: ChaosPoint::RecoveryOp { round: 1, op: 0 } },
     ]);
-    let errs = run_spmd_chaos(p, q, FaultScript::none(), chaos, move |ctx| {
+    let errs = run_spmd(p, q, FaultPlan { chaos, ..FaultPlan::default() }, move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n - 1];
         ft_pdgehrd(&ctx, &mut enc, Variant::NonDelayed, &mut tau).unwrap_err()

@@ -12,11 +12,11 @@
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
 use ft_dense::Matrix;
 use ft_hess::{
-    assert_theorem1, failpoint, ft_pdgeqrf, ft_pdgeqrf_full, ft_pdgeqrf_hooked, Encoded, FtReport, Phase, Redundancy,
-    ScrubPolicy, Variant,
+    assert_theorem1, failpoint, ft_pdgeqrf, ft_reduce, Encoded, FtReport, HouseholderQr, Phase, Redundancy, RunSpec, ScrubPolicy,
+    Variant,
 };
 use ft_lapack::{extract_r, orgqr, orthogonality_residual, qr_residual, RESIDUAL_THRESHOLD};
-use ft_runtime::{run_spmd, run_spmd_chaos, ChaosScript, Ctx, FaultScript, PlannedFailure};
+use ft_runtime::{run_spmd, ChaosScript, Ctx, FaultPlan, FaultScript, PlannedFailure};
 
 /// Fault-free reference factorization (gathered logical matrix + tau).
 fn clean_run(n: usize, nb: usize, p: usize, q: usize, seed: u64, variant: Variant, red: Redundancy) -> (Matrix, Vec<f64>) {
@@ -43,7 +43,7 @@ fn storm_run(
     script: FaultScript,
     chaos: ChaosScript,
 ) -> (Matrix, Vec<f64>, FtReport) {
-    let results = run_spmd_chaos(p, q, script, chaos, move |ctx| {
+    let results = run_spmd(p, q, FaultPlan { script, chaos, ..FaultPlan::default() }, move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n];
         let report = ft_pdgeqrf(&ctx, &mut enc, variant, &mut tau).expect("within the fault model");
@@ -86,10 +86,19 @@ fn qr_nondelayed_theorem1_every_phase() {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(41, i, j));
         let mut tau = vec![0.0; n];
         let mut checked = 0usize;
-        ft_pdgeqrf_hooked(&ctx, &mut enc, Variant::NonDelayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            let s = panel / ctx.npcol(); // w == nb here, so panel index == block column
-            checked += assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr panel {panel} {phase:?}"));
-        })
+        ft_reduce(
+            &ctx,
+            &HouseholderQr,
+            &mut enc,
+            &mut tau,
+            RunSpec {
+                hook: Some(&mut |ctx, enc, panel, phase| {
+                    let s = panel / ctx.npcol(); // w == nb here, so panel index == block column
+                    checked += assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr panel {panel} {phase:?}"));
+                }),
+                ..RunSpec::new(Variant::NonDelayed)
+            },
+        )
         .expect("fault-free run");
         assert!(checked > 20, "only {checked} invariant checks ran");
     });
@@ -103,12 +112,21 @@ fn qr_delayed_theorem1_at_scope_boundaries() {
     run_spmd(p, q, FaultScript::none(), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(43, i, j));
         let mut tau = vec![0.0; n];
-        ft_pdgeqrf_hooked(&ctx, &mut enc, Variant::Delayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
-                let s = panel / ctx.npcol();
-                assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr scope boundary at panel {panel}"));
-            }
-        })
+        ft_reduce(
+            &ctx,
+            &HouseholderQr,
+            &mut enc,
+            &mut tau,
+            RunSpec {
+                hook: Some(&mut |ctx, enc, panel, phase| {
+                    if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
+                        let s = panel / ctx.npcol();
+                        assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr scope boundary at panel {panel}"));
+                    }
+                }),
+                ..RunSpec::new(Variant::Delayed)
+            },
+        )
         .expect("fault-free run");
     });
 }
@@ -221,8 +239,18 @@ fn qr_flip_run(
                 }
             }
         };
-        let rep = ft_pdgeqrf_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::every_panels(1), &mut hook)
-            .expect("scrub heals");
+        let rep = ft_reduce(
+            &ctx,
+            &HouseholderQr,
+            &mut enc,
+            &mut tau,
+            RunSpec {
+                scrub: ScrubPolicy::every_panels(1),
+                hook: Some(&mut hook),
+                ..RunSpec::new(Variant::NonDelayed)
+            },
+        )
+        .expect("scrub heals");
         (enc.gather_logical(&ctx, 904), tau, rep.scrub)
     })
 }
@@ -250,15 +278,15 @@ fn qr_sdc_flip_on_2x2_escalates_to_rollback_and_heals() {
     }
 }
 
-/// With `Dual` redundancy (needs Q ≥ 4 process columns) the same flip is
+/// With `Coded(2)` redundancy (needs Q ≥ 4 process columns) the same flip is
 /// localized to its member block and corrected in place — no rollback.
 #[test]
 fn qr_sdc_flip_corrected_in_place_dual() {
     let (n, nb, p, q) = (32usize, 2usize, 2usize, 4usize);
     let seed = 63;
-    let reference = clean_run(n, nb, p, q, seed, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, seed, Variant::NonDelayed, Redundancy::Coded(2));
     let (panel, flip_col) = (2usize, 16usize); // trailing group for scope 0
-    let results = qr_flip_run(n, nb, p, q, seed, Redundancy::Dual, panel, (n - 1, flip_col, 0.37));
+    let results = qr_flip_run(n, nb, p, q, seed, Redundancy::Coded(2), panel, (n - 1, flip_col, 0.37));
     for (ag, tau, scrub) in results {
         assert!(scrub.detections >= 1, "no detection");
         assert!(scrub.corrections >= 1, "no in-place correction");

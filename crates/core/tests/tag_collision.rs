@@ -18,8 +18,8 @@ const A12_RANGE: u16 = 0x1000;
 /// Largest legal panel width we guard for (the drivers assert `nb ≥ 1`;
 /// production runs use `nb ≤ 64`, the guard is generous).
 const NB_MAX: u16 = 256;
-/// Checksum copies: `Redundancy::Single`/`Dual` both keep 2; the guard
-/// covers a hypothetical 4-copy extension (the issue's stated ceiling).
+/// Checksum copies: `Redundancy::Single` keeps 2, `Coded(2)` keeps 4; the
+/// guard covers up to 4 copies.
 const NCOPIES_MAX: u16 = 4;
 /// Backup-holder ring distances: `holders ≤ max_failures_per_row() ≤ 2`.
 const HOLDERS_MAX: u16 = 2;

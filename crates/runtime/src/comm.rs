@@ -9,6 +9,7 @@ use crate::fault::{ChaosScript, FaultScript, SdcFlip, SdcScript};
 use crate::grid::Grid;
 use crate::tag::{Leg, Tag, TrafficLedger, TrafficPhase};
 use crate::transport::{CommError, MpscTransport, Msg, Transport};
+use crate::FaultPlan;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -65,31 +66,30 @@ pub(crate) struct World {
 
 impl World {
     /// A world over the default in-process mpsc fabric.
-    pub(crate) fn new(grid: Grid, script: Arc<FaultScript>, chaos: Arc<ChaosScript>, sdc: Arc<SdcScript>) -> Self {
+    pub(crate) fn new(grid: Grid, plan: FaultPlan) -> Self {
         let transports = MpscTransport::fabric(grid.size())
             .into_iter()
             .map(|t| Box::new(t) as Box<dyn Transport>)
             .collect();
-        Self::with_transports(grid, script, chaos, sdc, transports)
+        Self::with_transports(grid, plan, transports)
     }
 
     /// A world over caller-supplied endpoints, in rank order.
-    pub(crate) fn with_transports(
-        grid: Grid,
-        script: Arc<FaultScript>,
-        chaos: Arc<ChaosScript>,
-        sdc: Arc<SdcScript>,
-        transports: Vec<Box<dyn Transport>>,
-    ) -> Self {
+    pub(crate) fn with_transports(grid: Grid, plan: FaultPlan, transports: Vec<Box<dyn Transport>>) -> Self {
         assert_eq!(transports.len(), grid.size(), "one transport endpoint per rank");
         Self {
             grid,
             transports,
             detector: Arc::new(Detector::default()),
-            script,
-            chaos,
-            sdc,
+            script: Arc::new(plan.script),
+            chaos: Arc::new(plan.chaos),
+            sdc: Arc::new(plan.sdc),
         }
+    }
+
+    /// Whether any chaos kill is scheduled in this world.
+    pub(crate) fn has_chaos(&self) -> bool {
+        !self.chaos.is_empty()
     }
 
     /// Build the single [`Ctx`] of one *process* in a multi-process world:

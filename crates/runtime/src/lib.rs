@@ -29,7 +29,7 @@
 //! are lost — matching the paper's recovery model, which repairs the grid
 //! before recovering data (§5.3 step 1).
 //!
-//! *Chaos* failures ([`run_spmd_chaos`]) strike at arbitrary message-op
+//! *Chaos* failures ([`FaultPlan::chaos`]) strike at arbitrary message-op
 //! boundaries with no cooperation from the algorithm. The victim revokes
 //! the world and closes its endpoint as it dies; every blocked or future
 //! communication call on a survivor unwinds with a typed [`Interrupt`]
@@ -62,8 +62,31 @@ pub use transport::{CommError, MpscTransport, Msg, PeerCounters, Transport, Tran
 
 use std::sync::Arc;
 
+/// Everything an in-process run can inject: scripted fail-stop failures at
+/// fail points, chaos kills at arbitrary message-op boundaries (once the
+/// algorithm calls [`Ctx::arm_chaos`]) and silent bit flips queued on the
+/// victim's op clock for the algorithm's scrub layer
+/// ([`Ctx::take_sdc_flips`]). A bare [`FaultScript`] converts into a plan
+/// with no chaos and no flips.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    /// Scripted failures at [`Ctx::check_failpoint`] ids.
+    pub script: FaultScript,
+    /// Kills at arbitrary message-op boundaries.
+    pub chaos: ChaosScript,
+    /// Silent bit flips.
+    pub sdc: SdcScript,
+}
+
+impl From<FaultScript> for FaultPlan {
+    fn from(script: FaultScript) -> Self {
+        Self { script, ..Self::default() }
+    }
+}
+
 /// Run `f` in SPMD style on a `p×q` grid: one thread per process, each
-/// receiving its own [`Ctx`]. Returns the per-rank results in rank order.
+/// receiving its own [`Ctx`], under the faults of `plan`. Returns the
+/// per-rank results in rank order.
 ///
 /// Panics in any process propagate (the whole run aborts), which keeps test
 /// failures loud.
@@ -80,60 +103,24 @@ use std::sync::Arc;
 /// // Row 0 holds ranks 0+1+2 = 3, row 1 holds 3+4+5 = 12.
 /// assert_eq!(sums, vec![3.0, 3.0, 3.0, 12.0, 12.0, 12.0]);
 /// ```
-pub fn run_spmd<R, F>(p: usize, q: usize, script: FaultScript, f: F) -> Vec<R>
+pub fn run_spmd<R, F>(p: usize, q: usize, plan: impl Into<FaultPlan>, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Ctx) -> R + Sync,
 {
-    run_spmd_full(p, q, script, ChaosScript::none(), SdcScript::none(), f)
-}
-
-/// [`run_spmd`] with a chaos-kill schedule on top of the scripted failures:
-/// victims die at arbitrary message-op boundaries (once the algorithm calls
-/// [`Ctx::arm_chaos`]), exercising detection, agreement and re-entrant
-/// recovery instead of the cooperative fail-point path.
-pub fn run_spmd_chaos<R, F>(p: usize, q: usize, script: FaultScript, chaos: ChaosScript, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Ctx) -> R + Sync,
-{
-    run_spmd_full(p, q, script, chaos, SdcScript::none(), f)
-}
-
-/// The full-fault-model entry point: scripted fail-stop failures, chaos
-/// kills *and* silent bit flips ([`SdcScript`]) in one run. Flips queue on
-/// the victim's op clock and are applied by the algorithm's scrub layer
-/// (see [`Ctx::take_sdc_flips`]); kills behave as in [`run_spmd_chaos`].
-pub fn run_spmd_full<R, F>(p: usize, q: usize, script: FaultScript, chaos: ChaosScript, sdc: SdcScript, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Ctx) -> R + Sync,
-{
-    if !chaos.is_empty() {
-        // Interrupt unwinds are control flow; keep them off stderr.
-        detect::install_quiet_interrupt_hook();
-    }
-    let grid = Grid::new(p, q);
-    let world = comm::World::new(grid, Arc::new(script), Arc::new(chaos), Arc::new(sdc));
+    let world = comm::World::new(Grid::new(p, q), plan.into());
     run_world(p, q, world, f)
 }
 
 /// [`run_spmd`] over caller-supplied [`Transport`] endpoints (in rank
 /// order) instead of the default in-process mpsc fabric — the pluggable
 /// communicator seam. Endpoint `i` becomes rank `i`'s wire.
-pub fn run_spmd_with<R, F>(p: usize, q: usize, script: FaultScript, transports: Vec<Box<dyn Transport>>, f: F) -> Vec<R>
+pub fn run_spmd_with<R, F>(p: usize, q: usize, plan: impl Into<FaultPlan>, transports: Vec<Box<dyn Transport>>, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Ctx) -> R + Sync,
 {
-    let grid = Grid::new(p, q);
-    let world = comm::World::with_transports(
-        grid,
-        Arc::new(script),
-        Arc::new(ChaosScript::none()),
-        Arc::new(SdcScript::none()),
-        transports,
-    );
+    let world = comm::World::with_transports(Grid::new(p, q), plan.into(), transports);
     run_world(p, q, world, f)
 }
 
@@ -176,6 +163,10 @@ where
     R: Send,
     F: Fn(Ctx) -> R + Sync,
 {
+    if world.has_chaos() {
+        // Interrupt unwinds are control flow; keep them off stderr.
+        detect::install_quiet_interrupt_hook();
+    }
     let mut ctxs: Vec<Option<Ctx>> = world.into_ctxs().into_iter().map(Some).collect();
 
     std::thread::scope(|scope| {
@@ -201,6 +192,13 @@ where
 mod tests {
     use super::*;
 
+    fn chaos_at(victim: usize, op: u64) -> FaultPlan {
+        FaultPlan {
+            chaos: ChaosScript::at_op(victim, op),
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn spmd_runs_all_ranks() {
         let out = run_spmd(2, 3, FaultScript::none(), |ctx| ctx.rank());
@@ -221,7 +219,7 @@ mod tests {
         // Rank 1 dies at its very first armed op (a send); rank 0's blocked
         // recv observes the revocation instead of deadlocking. Both then
         // agree on the victim set and finish in the new epoch.
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 0), |ctx| {
+        let out = run_spmd(1, 2, chaos_at(1, 0), |ctx| {
             ctx.arm_chaos();
             let r = catch_interrupt(|| {
                 if ctx.rank() == 1 {
@@ -253,7 +251,7 @@ mod tests {
     fn chaos_not_armed_means_no_kills() {
         // The script targets op 0, but the algorithm never arms chaos:
         // nothing dies.
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 0), |ctx| {
+        let out = run_spmd(1, 2, chaos_at(1, 0), |ctx| {
             if ctx.rank() == 1 {
                 ctx.send(0, 7, &[1.0]);
                 0
@@ -267,7 +265,7 @@ mod tests {
     #[test]
     fn sdc_flips_queue_on_the_op_clock_and_drain_once() {
         let sdc = SdcScript::one(SdcFlip { victim: 1, op: 1, word: 5, bit: 40 });
-        run_spmd_full(1, 2, FaultScript::none(), ChaosScript::none(), sdc, |ctx| {
+        run_spmd(1, 2, FaultPlan { sdc, ..FaultPlan::default() }, |ctx| {
             // Not armed yet: the clock is dead, nothing can queue.
             assert!(!ctx.sdc_enabled());
             ctx.arm_chaos();
@@ -292,7 +290,7 @@ mod tests {
     #[test]
     fn stale_epoch_messages_are_dropped_after_agreement() {
         use std::time::Duration;
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 2), |ctx| {
+        let out = run_spmd(1, 2, chaos_at(1, 2), |ctx| {
             ctx.arm_chaos();
             let r = catch_interrupt(|| {
                 if ctx.rank() == 1 {

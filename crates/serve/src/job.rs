@@ -7,7 +7,7 @@
 //! packed eight bytes per word through the IEEE bit pattern, which the
 //! frame codec round-trips bit-exactly.
 
-use ft_hess::{Redundancy, Variant};
+use ft_hess::{FtSolver, Hessenberg, HouseholderQr, Redundancy, Variant};
 
 /// Which factorization a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +36,14 @@ impl SolverId {
 
     /// CLI/report name.
     pub fn name(self) -> &'static str {
+        self.ft().name()
+    }
+
+    /// The framework-side solver this job runs.
+    pub fn ft(self) -> &'static dyn FtSolver {
         match self {
-            SolverId::Hessenberg => "hessenberg",
-            SolverId::Qr => "qr",
+            SolverId::Hessenberg => &Hessenberg,
+            SolverId::Qr => &HouseholderQr,
         }
     }
 }
@@ -155,7 +160,6 @@ impl JobSpec {
     fn redundancy_code(r: Redundancy) -> (f64, f64) {
         match r {
             Redundancy::Single => (0.0, 0.0),
-            Redundancy::Dual => (1.0, 0.0),
             Redundancy::Coded(f) => (2.0, f as f64),
         }
     }
@@ -193,7 +197,9 @@ impl JobSpec {
         };
         let redundancy = match (w[2] as i64, w[3] as i64) {
             (0, _) => Redundancy::Single,
-            (1, _) => Redundancy::Dual,
+            // Code 1 was a named alias of Coded(2); specs persisted under
+            // `--state-dir` by an older daemon still carry it.
+            (1, _) => Redundancy::Coded(2),
             (2, f) if f >= 1 => Redundancy::Coded(f as usize),
             (k, f) => return Err(format!("unknown redundancy code {k}/{f}")),
         };

@@ -17,10 +17,7 @@
 //! assignment so it rejoins the same fabric with a bumped incarnation.
 
 use crate::job::{Assignment, JobResult, RejectReason, SolverId, ASSIGN_STOP};
-use ft_hess::{
-    ft_pdgehrd_ctl, ft_pdgeqrf_ctl, DriverControl, Encoded, FtCheckpoint, FtError, FtSolver, Hessenberg, HouseholderQr,
-    ScrubPolicy,
-};
+use ft_hess::{ft_reduce, Encoded, FtCheckpoint, FtError, RunSpec};
 use ft_pblas::{pd_gather_traffic, pd_hessenberg_residual, pd_qr_residual, Desc, DistMatrix};
 use ft_runtime::{jobs, run_distributed, ChaosScript, Ctx, JobFrame, MpscTransport, Tag, TcpConfig, TcpTransport, Transport};
 use std::net::TcpStream;
@@ -73,11 +70,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
     let run = run_distributed(spec.p, spec.q, ChaosScript::none(), transport, move |ctx: Ctx| {
         let t0 = Instant::now();
         let mut enc = Encoded::with_redundancy(&ctx, n, nb, spec.redundancy, |i, j| matrix[i * n + j]);
-        let tau_len = match spec.solver {
-            SolverId::Hessenberg => Hessenberg.tau_len(n),
-            SolverId::Qr => HouseholderQr.tau_len(n),
-        };
-        let mut tau = vec![0.0; tau_len.max(1)];
+        let mut tau = vec![0.0; spec.solver.ft().tau_len(n).max(1)];
         let mut start_panel = 0;
         if !resume.is_empty() {
             let ck = FtCheckpoint::from_bytes(&resume).expect("daemon shipped a corrupt resume checkpoint");
@@ -105,14 +98,13 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
                 },
             );
         };
-        let mut ctl = DriverControl { start_panel, replacement, scope_sink: None };
-        if spec.ckpt {
-            ctl.scope_sink = Some(&mut sink);
-        }
-        let run = match spec.solver {
-            SolverId::Hessenberg => ft_pdgehrd_ctl(&ctx, &mut enc, spec.variant, &mut tau, ScrubPolicy::disabled(), ctl),
-            SolverId::Qr => ft_pdgeqrf_ctl(&ctx, &mut enc, spec.variant, &mut tau, ScrubPolicy::disabled(), ctl),
+        let run_spec = RunSpec {
+            start_panel,
+            replacement,
+            scope_sink: if spec.ckpt { Some(&mut sink) } else { None },
+            ..RunSpec::new(spec.variant)
         };
+        let run = ft_reduce(&ctx, spec.solver.ft(), &mut enc, &mut tau, run_spec);
         match run {
             Ok(report) => {
                 let a0 = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| matrix[i * n + j]);

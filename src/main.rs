@@ -11,9 +11,9 @@
 //!                        left-only second solver on the same framework
 //!                        (no --variant cr, no --print-eigs)
 //!   --variant <V>        plain | alg2 | alg3 | cr (default alg2)
-//!   --redundancy <R>     single | dual | <f> (default single; dual needs
-//!                        Q ≥ 4, numeric f tolerates f same-row failures
-//!                        and needs Q ≥ 2f)
+//!   --redundancy <R>     single | <f> | dual (default single; numeric f
+//!                        tolerates f same-row failures and needs Q ≥ 2f;
+//!                        dual is another spelling of 2)
 //!   --fail <P:PH:R>      scripted failure: panel : phase(0-3) : rank
 //!                        (repeatable)
 //!   --mtti <PANELS>      Poisson failures with this MTTI (in panels)
@@ -91,9 +91,10 @@
 //! ```
 
 use abft_hessenberg::dense::gen::uniform_entry;
+use abft_hessenberg::dense::Matrix;
 use abft_hessenberg::hess::{
-    cr_pdgehrd, failpoint, ft_pdgehrd_replacement, ft_pdgehrd_scrubbed, ft_pdgeqrf_replacement, ft_pdgeqrf_scrubbed, Encoded,
-    FtSolver, Hessenberg, HouseholderQr, Phase, Redundancy, ScrubPolicy, ScrubReport, Variant,
+    cr_pdgehrd, failpoint, ft_reduce, Encoded, FtSolver, Hessenberg, HouseholderQr, Phase, Redundancy, RunSpec, ScrubPolicy,
+    ScrubReport, Variant,
 };
 use abft_hessenberg::lapack::hessenberg_eigenvalues;
 use abft_hessenberg::pblas::{
@@ -101,8 +102,9 @@ use abft_hessenberg::pblas::{
     pd_qr_residual, pdgehrd, pdgeqrf, Desc, DistMatrix,
 };
 use abft_hessenberg::runtime::{
-    poisson_failures, run_distributed, run_spmd_full, ChaosKill, ChaosPoint, ChaosScript, CommError, Ctx, FaultScript,
-    NetChaosScript, PeerCounters, PlannedFailure, SdcScript, TcpConfig, TcpTransport, TrafficPhase,
+    poisson_failures, run_distributed, run_spmd, ChaosKill, ChaosPoint, ChaosScript, CommError, Ctx, FaultPlan, FaultScript,
+    NetChaosScript, PeerCounters, PlannedFailure, SdcScript, TcpConfig, TcpTransport, TrafficLedger, TrafficPhase,
+    TransportStats,
 };
 use std::io::BufRead;
 use std::process::exit;
@@ -253,7 +255,7 @@ fn parse_args() -> Opts {
             "--redundancy" => {
                 o.redundancy = match val("--redundancy").as_str() {
                     "single" => Redundancy::Single,
-                    "dual" => Redundancy::Dual,
+                    "dual" => Redundancy::Coded(2),
                     other => match other.parse::<usize>() {
                         Ok(f) if f >= 1 => Redundancy::Coded(f),
                         _ => fail(&format!("--redundancy: unknown '{other}' (single | dual | f ≥ 1)")),
@@ -402,18 +404,7 @@ fn print_scrub_summary(s: &ScrubReport) {
     println!("  {:<22} {:>10.3e}", "residual mass (frob2)", s.residual_mass);
 }
 
-/// Panel iterations this solver runs on an N×N matrix — straight from the
-/// framework's geometry contract, so the CLI never re-derives it.
-fn panel_count(solver: &dyn FtSolver, n: usize, nb: usize) -> usize {
-    let (mut c, mut k) = (0, 0);
-    while solver.panel_exists(k, n) {
-        k += solver.panel_width(k, n, nb);
-        c += 1;
-    }
-    c
-}
-
-fn print_transport_summary(stats: &abft_hessenberg::runtime::TransportStats) {
+fn print_transport_summary(stats: &TransportStats) {
     println!("transport (grid-wide, by peer):");
     println!(
         "  {:>4} {:>9} {:>12} {:>9} {:>12} {:>7} {:>10} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
@@ -457,9 +448,12 @@ fn print_transport_summary(stats: &abft_hessenberg::runtime::TransportStats) {
     row("all", &stats.total());
 }
 
-/// Flag combinations that make no sense for the chosen solver, rejected
-/// identically in both in-process and distributed modes.
-fn sanity_check_solver(o: &Opts) {
+/// Every flag-combination check of both modes, run before either mode
+/// prints or spawns anything: a rejected command line is a usage error
+/// (exit 2), identical whichever mode it asked for.
+fn validate(o: &Opts) {
+    let world = o.p * o.q;
+    let abft = matches!(o.mode, Mode::Alg2 | Mode::Alg3);
     if o.solver == SolverKind::Qr {
         if o.mode == Mode::Cr {
             fail("--variant cr is the Hessenberg checkpoint/restart baseline; not available with --solver qr");
@@ -468,220 +462,272 @@ fn sanity_check_solver(o: &Opts) {
             fail("--print-eigs needs the Hessenberg form (QR has no spectrum to extract); not available with --solver qr");
         }
     }
-}
-
-/// Reject redundancy/grid combinations up front with a usage error (exit 2)
-/// instead of letting the encoder's construction assert fire mid-run.
-fn sanity_check_redundancy(o: &Opts) {
-    match o.redundancy {
-        Redundancy::Single => {}
-        Redundancy::Dual => {
-            if o.q < 4 {
-                fail(&format!("--redundancy dual needs Q >= 4 process columns (got Q = {})", o.q));
+    // Up front rather than as the encoder's construction assert mid-run.
+    if let Redundancy::Coded(f) = o.redundancy {
+        if o.q < 2 * f {
+            fail(&format!(
+                "--redundancy {f} needs Q >= {} process columns for its checksums (got Q = {})",
+                2 * f,
+                o.q
+            ));
+        }
+    }
+    if o.distributed || o.rank.is_some() {
+        if !o.failures.is_empty() || o.mtti.is_some() {
+            fail("--fail / --mtti assume the in-process world; use --chaos or --kill-at with --distributed");
+        }
+        if o.sdc.is_some() {
+            fail("--sdc assumes the in-process flip injector; not available with --distributed");
+        }
+        if o.mode == Mode::Cr {
+            fail("--variant cr is not available with --distributed");
+        }
+        if o.shrink && !abft {
+            fail("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)");
+        }
+        if let Some(k) = o.kill_at.iter().find(|k| k.victim >= world) {
+            fail(&format!("--kill-at: rank {} is outside the {}-rank grid", k.victim, world));
+        }
+        if let Some(r) = o.rank {
+            if !o.distributed {
+                fail("--rank is the internal child-mode flag; it needs --distributed");
             }
-        }
-        Redundancy::Coded(f) => {
-            if o.q < 2 * f {
-                fail(&format!(
-                    "--redundancy {f} needs Q >= {} process columns for its checksums (got Q = {})",
-                    2 * f,
-                    o.q
-                ));
+            if r >= world {
+                fail(&format!("--rank {r} is outside the {world}-rank grid"));
             }
+            if o.port_base.is_none() {
+                fail("--rank needs an explicit --port-base");
+            }
+        } else if o.respawn > 0 || !o.chaos_fired.is_empty() {
+            fail("--respawn / --chaos-fired are internal child-mode flags (need --rank)");
         }
+        // A bad FT_HB_* value must not get as far as spawning children.
+        let _ = resolved_tcp_config(o, 0, world);
+    } else if !o.kill_at.is_empty()
+        || o.shrink
+        || o.port_base.is_some()
+        || o.hb_interval_ms.is_some()
+        || o.hb_miss_limit.is_some()
+        || o.conn_timeout_ms.is_some()
+        || o.net_chaos.is_some()
+        || o.print_eigs
+        || o.respawn > 0
+        || !o.chaos_fired.is_empty()
+    {
+        fail("--kill-at / --shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --net-chaos / --print-eigs need --distributed");
+    }
+    if (o.chaos.is_some() || !o.kill_at.is_empty()) && !abft {
+        fail("--chaos / --kill-at need --variant alg2 or alg3 (the others never arm the injector)");
+    }
+    if (o.sdc.is_some() || o.scrub_every.is_some()) && !abft {
+        fail("--sdc / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
     }
 }
 
-fn sanity_check_distributed(o: &Opts) {
-    let world = o.p * o.q;
-    if !o.failures.is_empty() || o.mtti.is_some() {
-        fail("--fail / --mtti assume the in-process world; use --chaos or --kill-at with --distributed");
-    }
-    if o.sdc.is_some() {
-        fail("--sdc assumes the in-process flip injector; not available with --distributed");
-    }
-    if o.mode == Mode::Cr {
-        fail("--variant cr is not available with --distributed");
-    }
-    if (o.chaos.is_some() || !o.kill_at.is_empty()) && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--chaos / --kill-at need --variant alg2 or alg3");
-    }
-    if o.shrink && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)");
-    }
-    if let Some(k) = o.kill_at.iter().find(|k| k.victim >= world) {
-        fail(&format!("--kill-at: rank {} is outside the {}-rank grid", k.victim, world));
-    }
-    if let Some(r) = o.rank {
-        if !o.distributed {
-            fail("--rank is the internal child-mode flag; it needs --distributed");
-        }
-        if r >= world {
-            fail(&format!("--rank {r} is outside the {world}-rank grid"));
-        }
-        if o.port_base.is_none() {
-            fail("--rank needs an explicit --port-base");
-        }
-    } else if o.respawn > 0 || !o.chaos_fired.is_empty() {
-        fail("--respawn / --chaos-fired are internal child-mode flags (need --rank)");
-    }
+/// Upper end of the message-op range seeded kills and flips are drawn
+/// from. A rank performs roughly `4*nb + 20` message ops per panel
+/// iteration (measured via `Ctx::chaos_ops`, conservative at common
+/// grids), so seeded events land inside the run; events scheduled past
+/// the end simply never fire.
+fn seeded_op_hi(o: &Opts) -> u64 {
+    (o.solver.ft().panel_count(o.n, o.nb) as u64 * (4 * o.nb as u64 + 20)).max(200)
 }
 
-/// The chaos schedule a distributed rank evaluates against its op clock:
-/// seeded kills (if `--chaos`) plus every explicit `--kill-at`.
-fn dist_chaos_script(o: &Opts) -> ChaosScript {
-    let op_hi = (panel_count(o.solver.ft(), o.n, o.nb) as u64 * (4 * o.nb as u64 + 20)).max(200);
+/// The chaos schedule every rank evaluates against its op clock: seeded
+/// kills (if `--chaos`) plus every explicit `--kill-at`.
+fn chaos_script(o: &Opts) -> ChaosScript {
     let mut kills: Vec<ChaosKill> = match o.chaos {
-        Some((cseed, n_kills)) => ChaosScript::seeded(cseed, o.p * o.q, n_kills, 50, op_hi).kills().to_vec(),
+        Some((cseed, n_kills)) => ChaosScript::seeded(cseed, o.p * o.q, n_kills, 50, seeded_op_hi(o))
+            .kills()
+            .to_vec(),
         None => Vec::new(),
     };
     kills.extend(o.kill_at.iter().copied());
     ChaosScript::new(kills)
 }
 
-/// One rank's computation in distributed mode. Returns the process exit
-/// code (only rank 0's is meaningful to the launcher).
-fn dist_rank_body(ctx: &Ctx, o: &Opts) -> i32 {
-    let Opts { n, nb, seed, verify, redundancy, .. } = o.clone();
-    let variant = if o.mode == Mode::Alg3 { Variant::Delayed } else { Variant::NonDelayed };
-    let policy = match o.scrub_every {
-        Some(k) => ScrubPolicy::every_panels(k),
-        None => ScrubPolicy::disabled(),
+/// The residual printed under --verify: the solver's own oracle, on the
+/// paper's r∞ scale. QR reports the worse of its factorization residual
+/// and its loss of orthogonality — there is no spectrum to fall back on.
+fn residual(ctx: &Ctx, solver: SolverKind, a0: &DistMatrix, a: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+    match solver {
+        SolverKind::Hessenberg => pd_hessenberg_residual(ctx, a0, a, n, tau),
+        SolverKind::Qr => {
+            let r = pd_qr_residual(ctx, a0, a, n, tau);
+            let qm = pd_orgqr(ctx, a, n, tau);
+            r.max(pd_orthogonality_residual(ctx, &qm, n))
+        }
+    }
+}
+
+/// Shrink report (collective): every rank contributes its adopted-rank
+/// flags and agreement-stall seconds; rank 0 gets the sorted adopted ranks
+/// and the total stall. The adopted threads participate like any rank, so
+/// the gather is world-complete even after the process count shrank.
+fn gather_shrink(ctx: &Ctx, world: usize) -> (Vec<usize>, f64) {
+    let (flags, stall) = ctx.shrink_stats();
+    if ctx.rank() == 0 {
+        let mut ranks: Vec<usize> = (0..world).filter(|&r| flags[r]).collect();
+        let mut stall_total = stall;
+        for r in 1..world {
+            let p = ctx.recv(r, 628u64);
+            ranks.extend((0..world).filter(|&v| p[v] != 0.0));
+            stall_total += p[world];
+        }
+        ranks.sort_unstable();
+        (ranks, stall_total)
+    } else {
+        let mut payload: Vec<f64> = (0..world).map(|r| if flags[r] { 1.0 } else { 0.0 }).collect();
+        payload.push(stall);
+        ctx.send(0, 628u64, &payload);
+        (Vec::new(), 0.0)
+    }
+}
+
+/// One rank's whole run, shared by both modes: build the input, run the
+/// chosen routine, check the residual, gather the grid-wide counters and
+/// print the summary on rank 0. Returns the exit code (rank 0's is the
+/// run's verdict).
+fn rank_body(ctx: &Ctx, o: &Opts) -> i32 {
+    let (n, nb, seed) = (o.n, o.nb, o.seed);
+    let input = || DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
+    let policy = match (o.scrub_every, o.sdc) {
+        (Some(k), _) => ScrubPolicy::every_panels(k),
+        // --sdc without an explicit cadence scans at every panel boundary.
+        (None, Some(_)) => ScrubPolicy::every_panels(1),
+        (None, None) => ScrubPolicy::disabled(),
     };
     let t = Instant::now();
     let mut tau = vec![0.0; o.solver.ft().tau_len(n).max(1)];
-    let (mut plain, mut enc) = (None, None);
-    let rep = if o.mode == Mode::Plain {
-        let mut a = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match o.solver {
-            SolverKind::Hessenberg => pdgehrd(ctx, &mut a, &mut tau),
-            SolverKind::Qr => pdgeqrf(ctx, &mut a, &mut tau),
+    let (a, events, scrub) = match o.mode {
+        Mode::Plain => {
+            let mut a = input();
+            match o.solver {
+                SolverKind::Hessenberg => pdgehrd(ctx, &mut a, &mut tau),
+                SolverKind::Qr => pdgeqrf(ctx, &mut a, &mut tau),
+            }
+            (a, None, None)
         }
-        plain = Some(a);
-        None
-    } else {
-        let mut e = Encoded::with_redundancy(ctx, n, nb, redundancy, |i, j| uniform_entry(seed, i, j));
-        let res = match (o.solver, o.respawn > 0) {
+        Mode::Cr => {
+            let mut a = input();
+            let rep = cr_pdgehrd(ctx, &mut a, o.cr_interval, &mut tau);
+            (a, Some(format!("rollbacks: {}, lost panel iterations: {}", rep.rollbacks, rep.lost_panels)), None)
+        }
+        Mode::Alg2 | Mode::Alg3 => {
+            let variant = if o.mode == Mode::Alg3 { Variant::Delayed } else { Variant::NonDelayed };
+            let mut enc = Encoded::with_redundancy(ctx, n, nb, o.redundancy, |i, j| uniform_entry(seed, i, j));
             // A re-spawned replacement joins an already-running
             // factorization: skip encoding, enter recovery first (§5.3).
-            (SolverKind::Hessenberg, true) => ft_pdgehrd_replacement(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Hessenberg, false) => ft_pdgehrd_scrubbed(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Qr, true) => ft_pdgeqrf_replacement(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Qr, false) => ft_pdgeqrf_scrubbed(ctx, &mut e, variant, &mut tau, policy),
-        };
-        match res {
-            Ok(rep) => {
-                enc = Some(e);
-                Some(rep)
-            }
-            Err(err) => {
-                eprintln!("rank {}: UNRECOVERABLE: {err}", ctx.rank());
-                return 3;
+            let spec = RunSpec {
+                scrub: policy,
+                replacement: o.respawn > 0,
+                ..RunSpec::new(variant)
+            };
+            match ft_reduce(ctx, o.solver.ft(), &mut enc, &mut tau, spec) {
+                Ok(rep) => (
+                    enc.a,
+                    Some(format!("recoveries: {}, chaos aborts: {}", rep.recoveries, rep.chaos_aborts)),
+                    Some(rep.scrub),
+                ),
+                Err(err) => {
+                    eprintln!("rank {}: UNRECOVERABLE: {err}", ctx.rank());
+                    return 3;
+                }
             }
         }
-    };
-    let a: &DistMatrix = match (&plain, &enc) {
-        (Some(a), _) => a,
-        (_, Some(e)) => &e.a,
-        _ => unreachable!(),
     };
     let secs = t.elapsed().as_secs_f64();
-    let residual = verify.then(|| {
-        let a0 = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match o.solver {
-            SolverKind::Hessenberg => pd_hessenberg_residual(ctx, &a0, a, n, &tau),
-            // QR's eigen-free oracle: factorization residual and loss of
-            // orthogonality, both on the paper's r∞ scale — report the worse.
-            SolverKind::Qr => {
-                let r = pd_qr_residual(ctx, &a0, a, n, &tau);
-                let qm = pd_orgqr(ctx, a, n, &tau);
-                r.max(pd_orthogonality_residual(ctx, &qm, n))
-            }
-        }
-    });
-    let scrub = match (&rep, policy.active()) {
-        (Some(rep), true) => Some(rep.scrub.gathered(ctx, 622)),
-        _ => None,
+    // The collectives below run in the same order on every rank.
+    let residual = o.verify.then(|| residual(ctx, o.solver, &input(), &a, n, &tau));
+    let summary = Summary {
+        secs,
+        gflops: if o.solver == SolverKind::Qr { 4.0 / 3.0 } else { 10.0 / 3.0 } * (n as f64).powi(3) / secs / 1e9,
+        events,
+        scrub: scrub.filter(|_| policy.active()).map(|s| s.gathered(ctx, 622)),
+        traffic: pd_gather_traffic(ctx, 620),
+        wire: ctx.distributed().then(|| pd_gather_transport(ctx, 624)),
+        shrink: o.shrink.then(|| gather_shrink(ctx, o.p * o.q)),
+        h: o.print_eigs.then(|| pd_extract_h(ctx, &a, n).gather_root(ctx, 626)).flatten(),
+        residual,
     };
-    let traffic = pd_gather_traffic(ctx, 620);
-    let wire = pd_gather_transport(ctx, 624);
-    // Shrink report (collective): every rank contributes its adopted-rank
-    // flags and agreement-stall seconds; rank 0 aggregates. The adopted
-    // threads participate like any rank, so the gather is world-complete
-    // even after the process count shrank.
-    let shrink = o.shrink.then(|| {
-        let world = o.p * o.q;
-        let (flags, stall) = ctx.shrink_stats();
-        if ctx.rank() == 0 {
-            let mut ranks: Vec<usize> = (0..world).filter(|&r| flags[r]).collect();
-            let mut stall_total = stall;
-            for r in 1..world {
-                let p = ctx.recv(r, 628u64);
-                ranks.extend((0..world).filter(|&v| p[v] != 0.0));
-                stall_total += p[world];
-            }
-            ranks.sort_unstable();
-            (ranks, stall_total)
-        } else {
-            let mut payload: Vec<f64> = (0..world).map(|r| if flags[r] { 1.0 } else { 0.0 }).collect();
-            payload.push(stall);
-            ctx.send(0, 628u64, &payload);
-            (Vec::new(), 0.0)
-        }
-    });
-    let eigs = o.print_eigs.then(|| pd_extract_h(ctx, a, n).gather_root(ctx, 626));
+    if ctx.rank() == 0 {
+        summary.print()
+    } else {
+        0
+    }
+}
 
-    if ctx.rank() != 0 {
-        return 0;
-    }
-    let flop_coef = if o.solver == SolverKind::Qr { 4.0 / 3.0 } else { 10.0 / 3.0 };
-    let gf = flop_coef * (n as f64).powi(3) / secs / 1e9;
-    println!("time: {secs:.3} s  ({gf:.2} effective GFLOP/s)");
-    if let Some(rep) = &rep {
-        println!("recoveries: {}, chaos aborts: {}", rep.recoveries, rep.chaos_aborts);
-    }
-    if let Some(s) = &scrub {
-        print_scrub_summary(s);
-    }
-    println!("traffic (grid-wide, by phase):");
-    for ph in TrafficPhase::ALL {
-        let t = traffic.phase(ph);
-        if t.msgs > 0 {
-            println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
+/// What rank 0 reports at the end of a run. The wire table, the shrink
+/// report and the eigenvalues of `H` exist only in distributed mode.
+struct Summary {
+    secs: f64,
+    gflops: f64,
+    /// The fault-handling line: recoveries (ABFT) or rollbacks (C/R).
+    events: Option<String>,
+    scrub: Option<ScrubReport>,
+    traffic: TrafficLedger,
+    wire: Option<TransportStats>,
+    shrink: Option<(Vec<usize>, f64)>,
+    h: Option<Matrix>,
+    residual: Option<f64>,
+}
+
+impl Summary {
+    /// Print the summary; returns the run's exit code.
+    fn print(&self) -> i32 {
+        println!("time: {:.3} s  ({:.2} effective GFLOP/s)", self.secs, self.gflops);
+        if let Some(line) = &self.events {
+            println!("{line}");
         }
-    }
-    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", traffic.total_bytes(), traffic.total_msgs());
-    if let Some((ranks, stall)) = &shrink {
-        if ranks.is_empty() {
-            println!("shrink: armed, no rank adopted");
-        } else {
-            println!("shrink (survivor-adopted ranks):");
-            println!("  {:<22} {:?}", "adopted ranks", ranks);
-            println!("  {:<22} {:>10} bytes", "redistributed", traffic.phase(TrafficPhase::Recovery).bytes);
-            println!("  {:<22} {:>10.3} s", "agreement stall", stall);
+        if let Some(s) = &self.scrub {
+            print_scrub_summary(s);
         }
-    }
-    print_transport_summary(&wire);
-    if let Some(Some(h)) = eigs {
-        let mut ev = hessenberg_eigenvalues(&h).unwrap_or_else(|e| {
-            eprintln!("eigenvalue extraction failed: {e:?}");
-            exit(3)
-        });
-        ev.sort_by(|a, b| (a.re, a.im).partial_cmp(&(b.re, b.im)).unwrap());
-        println!("eigenvalues ({}):", ev.len());
-        for e in &ev {
-            println!("eig {:+.15e} {:+.15e}", e.re, e.im);
+        let traffic = &self.traffic;
+        println!("traffic (grid-wide, by phase):");
+        for ph in TrafficPhase::ALL {
+            let t = traffic.phase(ph);
+            if t.msgs > 0 {
+                println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
+            }
         }
-    }
-    if let Some(r) = residual {
-        println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
-        if r >= 3.0 {
-            eprintln!("VERIFICATION FAILED");
-            return 1;
+        println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", traffic.total_bytes(), traffic.total_msgs());
+        if let Some((ranks, stall)) = &self.shrink {
+            if ranks.is_empty() {
+                println!("shrink: armed, no rank adopted");
+            } else {
+                println!("shrink (survivor-adopted ranks):");
+                println!("  {:<22} {:?}", "adopted ranks", ranks);
+                println!("  {:<22} {:>10} bytes", "redistributed", traffic.phase(TrafficPhase::Recovery).bytes);
+                println!("  {:<22} {:>10.3} s", "agreement stall", stall);
+            }
         }
-        println!("verification passed");
+        if let Some(wire) = &self.wire {
+            print_transport_summary(wire);
+        }
+        if let Some(h) = &self.h {
+            let mut ev = match hessenberg_eigenvalues(h) {
+                Ok(ev) => ev,
+                Err(e) => {
+                    eprintln!("eigenvalue extraction failed: {e:?}");
+                    return 3;
+                }
+            };
+            ev.sort_by(|a, b| (a.re, a.im).partial_cmp(&(b.re, b.im)).unwrap());
+            println!("eigenvalues ({}):", ev.len());
+            for e in &ev {
+                println!("eig {:+.15e} {:+.15e}", e.re, e.im);
+            }
+        }
+        if let Some(r) = self.residual {
+            println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
+            if r >= 3.0 {
+                eprintln!("VERIFICATION FAILED");
+                return 1;
+            }
+            println!("verification passed");
+        }
+        0
     }
-    0
 }
 
 /// The transport config a rank actually runs with: built-in defaults,
@@ -736,7 +782,7 @@ fn adopt_rank(o: Opts, victim: usize, incarnation: u32, port_base: u16) {
     // incarnation doubles as the respawn counter, exactly as the launcher's
     // `--respawn` flag would.
     o2.respawn = incarnation.max(1);
-    let code = match run_distributed(o2.p, o2.q, ChaosScript::none(), Box::new(transport), |ctx| dist_rank_body(&ctx, &o2)) {
+    let code = match run_distributed(o2.p, o2.q, ChaosScript::none(), Box::new(transport), |ctx| rank_body(&ctx, &o2)) {
         Ok(code) => code,
         Err(err @ CommError::Partitioned { .. }) => {
             eprintln!("shrink: adopted rank {victim}: UNRECOVERABLE: {err}");
@@ -754,7 +800,7 @@ fn adopt_rank(o: Opts, victim: usize, incarnation: u32, port_base: u16) {
 /// rank's code. The parent launcher spawns one of these per rank.
 fn child_main(o: Opts, rank: usize) -> ! {
     let world = o.p * o.q;
-    let port_base = o.port_base.expect("checked in sanity_check_distributed");
+    let port_base = o.port_base.expect("checked in validate");
     let mut cfg = resolved_tcp_config(&o, rank, world);
     cfg.incarnation = o.respawn;
     let transport = match TcpTransport::connect(cfg, port_base) {
@@ -764,7 +810,7 @@ fn child_main(o: Opts, rank: usize) -> ! {
             exit(3)
         }
     };
-    let chaos = dist_chaos_script(&o);
+    let chaos = chaos_script(&o);
     // Threads hosting adopted ranks (shrink mode). The process must outlive
     // them: their epilogue (collectives, the FT_SHRINK_CODE marker) runs
     // after this rank's own body has already returned.
@@ -782,7 +828,7 @@ fn child_main(o: Opts, rank: usize) -> ! {
                 adoptions.lock().unwrap().push(h);
             });
         }
-        dist_rank_body(&ctx, &o)
+        rank_body(&ctx, &o)
     }) {
         Ok(code) => code,
         // Partition agreement: every surviving rank lands here with the
@@ -865,7 +911,6 @@ fn spawn_rank(
     cmd.arg("--solver").arg(o.solver.name());
     let red = match o.redundancy {
         Redundancy::Single => "single".to_string(),
-        Redundancy::Dual => "dual".to_string(),
         Redundancy::Coded(f) => f.to_string(),
     };
     cmd.arg("--redundancy").arg(red);
@@ -946,9 +991,6 @@ fn spawn_rank(
 /// and exit with rank 0's code.
 fn parent_main(o: Opts) -> ! {
     let world = o.p * o.q;
-    // Validate the liveness config once, up front — a bad FT_HB_* value or
-    // CLI combination must not get as far as spawning children.
-    let _ = resolved_tcp_config(&o, 0, world);
     let port_base = o.port_base.unwrap_or_else(|| probe_port_base(world));
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("cannot locate own binary: {e}");
@@ -965,7 +1007,7 @@ fn parent_main(o: Opts) -> ! {
         o.redundancy,
         port_base,
         port_base as usize + world - 1,
-        dist_chaos_script(&o).kills().len(),
+        chaos_script(&o).kills().len(),
         o.seed
     );
 
@@ -1081,33 +1123,22 @@ fn main() {
     if let Some(code) = serve_cli::route() {
         exit(code);
     }
-    let mut o = parse_args();
-    sanity_check_solver(&o);
-    sanity_check_redundancy(&o);
-    if o.distributed || o.rank.is_some() {
-        sanity_check_distributed(&o);
-        if let Some(rank) = o.rank {
-            child_main(o, rank);
-        }
-        parent_main(o);
+    let o = parse_args();
+    validate(&o);
+    match o.rank {
+        Some(rank) => child_main(o, rank),
+        None if o.distributed => parent_main(o),
+        None => in_process_main(o),
     }
-    if !o.kill_at.is_empty()
-        || o.shrink
-        || o.port_base.is_some()
-        || o.hb_interval_ms.is_some()
-        || o.hb_miss_limit.is_some()
-        || o.conn_timeout_ms.is_some()
-        || o.net_chaos.is_some()
-        || o.print_eigs
-        || o.respawn > 0
-        || !o.chaos_fired.is_empty()
-    {
-        fail("--kill-at / --shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --net-chaos / --print-eigs need --distributed");
-    }
+}
+
+/// In-process mode: every rank is a thread of this process, and scripted
+/// failures, chaos kills and bit flips come from the in-process injector.
+fn in_process_main(mut o: Opts) -> ! {
     // Ragged N is handled by the encoder (zero-padded to whole blocks, see
     // DESIGN.md §10) — no round-up needed.
-    let panels = panel_count(o.solver.ft(), o.n, o.nb);
     if let Some(mtti) = o.mtti {
+        let panels = o.solver.ft().panel_count(o.n, o.nb);
         let extra = poisson_failures(panels as u64, mtti, o.p * o.q, o.seed)
             .into_iter()
             .map(|f| PlannedFailure {
@@ -1128,141 +1159,14 @@ fn main() {
         o.failures.len(),
         o.seed
     );
-
-    if o.chaos.is_some() && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--chaos needs --variant alg2 or alg3 (the others never arm the injector)");
-    }
-    if (o.sdc.is_some() || o.scrub_every.is_some()) && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--sdc / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
-    }
-    let Opts {
-        n,
-        nb,
-        p,
-        q,
-        solver,
-        mode,
-        redundancy,
-        cr_interval,
-        seed,
-        verify,
-        ..
-    } = o.clone();
-    let script = FaultScript::new(o.failures.clone());
-    // A rank performs roughly `4*nb + 20` message ops per panel iteration
-    // (measured via `Ctx::chaos_ops`, conservative at common grids), so this
-    // range keeps seeded kills/flips inside the run; events scheduled past
-    // the end simply never fire.
-    let op_hi = (panels as u64 * (4 * o.nb as u64 + 20)).max(200);
-    let chaos = match o.chaos {
-        Some((cseed, kills)) => ChaosScript::seeded(cseed, p * q, kills, 50, op_hi),
-        None => ChaosScript::none(),
+    let plan = FaultPlan {
+        script: FaultScript::new(o.failures.clone()),
+        chaos: chaos_script(&o),
+        sdc: match o.sdc {
+            Some((sseed, flips)) => SdcScript::seeded(sseed, o.p * o.q, flips, 50, seeded_op_hi(&o)),
+            None => SdcScript::none(),
+        },
     };
-    let sdc = match o.sdc {
-        Some((sseed, flips)) => SdcScript::seeded(sseed, p * q, flips, 50, op_hi),
-        None => SdcScript::none(),
-    };
-    // --sdc without an explicit cadence scans at every panel boundary.
-    let policy = match (o.scrub_every, o.sdc) {
-        (Some(k), _) => ScrubPolicy::every_panels(k),
-        (None, Some(_)) => ScrubPolicy::every_panels(1),
-        (None, None) => ScrubPolicy::disabled(),
-    };
-    // The residual printed under --verify: solver-specific oracle, both on
-    // the paper's r∞ scale (QR reports the worse of factorization residual
-    // and loss of orthogonality — there is no spectrum to fall back on).
-    let residual_of = move |ctx: &Ctx, a: &DistMatrix, tau: &[f64]| {
-        let a0 = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match solver {
-            SolverKind::Hessenberg => pd_hessenberg_residual(ctx, &a0, a, n, tau),
-            SolverKind::Qr => {
-                let r = pd_qr_residual(ctx, &a0, a, n, tau);
-                let qm = pd_orgqr(ctx, a, n, tau);
-                r.max(pd_orthogonality_residual(ctx, &qm, n))
-            }
-        }
-    };
-    let tau_len = o.solver.ft().tau_len(o.n).max(1);
-    let t = Instant::now();
-    let outcome = run_spmd_full(p, q, script, chaos, sdc, move |ctx| {
-        let (events, lost, r, err, scrub) = match mode {
-            Mode::Plain => {
-                let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                match solver {
-                    SolverKind::Hessenberg => pdgehrd(&ctx, &mut a, &mut tau),
-                    SolverKind::Qr => pdgeqrf(&ctx, &mut a, &mut tau),
-                }
-                let r = verify.then(|| residual_of(&ctx, &a, &tau));
-                (0usize, 0usize, r, None, None)
-            }
-            Mode::Alg2 | Mode::Alg3 => {
-                let variant = if mode == Mode::Alg2 { Variant::NonDelayed } else { Variant::Delayed };
-                let mut enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                let res = match solver {
-                    SolverKind::Hessenberg => ft_pdgehrd_scrubbed(&ctx, &mut enc, variant, &mut tau, policy),
-                    SolverKind::Qr => ft_pdgeqrf_scrubbed(&ctx, &mut enc, variant, &mut tau, policy),
-                };
-                match res {
-                    Ok(rep) => {
-                        let r = verify.then(|| residual_of(&ctx, &enc.a, &tau));
-                        // Aggregate the per-rank scrub statistics while the
-                        // grid is still up (collective).
-                        let scrub = policy.active().then(|| rep.scrub.gathered(&ctx, 622));
-                        (rep.recoveries, rep.chaos_aborts, r, None, scrub)
-                    }
-                    Err(e) => (0usize, 0usize, None, Some(e), None),
-                }
-            }
-            Mode::Cr => {
-                let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                let rep = cr_pdgehrd(&ctx, &mut a, cr_interval, &mut tau);
-                let r = verify.then(|| residual_of(&ctx, &a, &tau));
-                (rep.rollbacks, rep.lost_panels, r, None, None)
-            }
-        };
-        // Grid-wide per-phase traffic (collective; identical on all ranks).
-        let traffic = pd_gather_traffic(&ctx, 620);
-        (events, lost, r, err, scrub, traffic)
-    })
-    .into_iter()
-    .next()
-    .unwrap();
-    let secs = t.elapsed().as_secs_f64();
-
-    let (events, lost, residual, err, scrub, traffic) = outcome;
-    if let Some(e) = err {
-        eprintln!("UNRECOVERABLE: {e}");
-        exit(3);
-    }
-    let flop_coef = if o.solver == SolverKind::Qr { 4.0 / 3.0 } else { 10.0 / 3.0 };
-    let gf = flop_coef * (o.n as f64).powi(3) / secs / 1e9;
-    println!("time: {secs:.3} s  ({gf:.2} effective GFLOP/s)");
-    match o.mode {
-        Mode::Plain => {}
-        Mode::Cr => println!("rollbacks: {events}, lost panel iterations: {lost}"),
-        _ if o.chaos.is_some() => println!("recoveries: {events}, chaos aborts: {lost}"),
-        _ => println!("recoveries: {events}"),
-    }
-    if let Some(s) = &scrub {
-        print_scrub_summary(s);
-    }
-    println!("traffic (grid-wide, by phase):");
-    for ph in TrafficPhase::ALL {
-        let t = traffic.phase(ph);
-        if t.msgs > 0 {
-            println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
-        }
-    }
-    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", traffic.total_bytes(), traffic.total_msgs());
-    if let Some(r) = residual {
-        println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
-        if r >= 3.0 {
-            eprintln!("VERIFICATION FAILED");
-            exit(1);
-        }
-        println!("verification passed");
-    }
+    let codes = run_spmd(o.p, o.q, plan, |ctx| rank_body(&ctx, &o));
+    exit(codes[0])
 }

@@ -184,7 +184,7 @@ fn submit_verb(args: &[String]) -> i32 {
             "--redundancy" => {
                 redundancy = match take_val(args, &mut i, "--redundancy") {
                     "single" => Redundancy::Single,
-                    "dual" => Redundancy::Dual,
+                    "dual" => Redundancy::Coded(2),
                     f => Redundancy::Coded(parse(f, "--redundancy")),
                 }
             }

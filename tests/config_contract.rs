@@ -130,3 +130,31 @@ fn bad_config_dies_in_the_launcher_before_spawning_ranks() {
         "no rank may be spawned under a rejected config — stdout:\n{stdout}"
     );
 }
+
+/// Mode/flag validation runs once, before either mode starts: a flag the
+/// chosen variant cannot honor is rejected identically with and without
+/// `--distributed`, instead of being silently dropped by the launcher.
+#[test]
+fn scrub_cadence_without_abft_variant_is_a_usage_error_in_both_modes() {
+    let base = [
+        "--grid",
+        "1x2",
+        "--n",
+        "32",
+        "--nb",
+        "4",
+        "--variant",
+        "plain",
+        "--scrub-every",
+        "2",
+        "--verify",
+    ];
+    for distributed in [false, true] {
+        let mut args = base.to_vec();
+        if distributed {
+            args.push("--distributed");
+        }
+        let o = run(&args, &[]);
+        assert_usage_error(&o, "--scrub-every", &format!("plain --scrub-every (distributed={distributed})"));
+    }
+}
